@@ -43,33 +43,6 @@ def test_engine_event_throughput(benchmark):
     assert benchmark(run) == 50_000
 
 
-def test_engine_event_throughput_calendar(benchmark):
-    """The chained-callback workload under the calendar-queue scheduler.
-
-    Head-to-head partner of ``test_engine_event_throughput``: both are
-    recorded in ``BENCH_substrate.json`` so the heap-vs-calendar ratio is
-    pinned.  Verdict (docs/performance.md): the pure-Python calendar
-    queue pops in exact heap order (digest-equal) but is ~2.2-2.5x
-    *slower* than C ``heapq``, so the heap stays the default and the
-    calendar is opt-in via ``Simulator(scheduler="calendar")``.
-    """
-
-    def run():
-        sim = Simulator(scheduler="calendar")
-        count = [0]
-
-        def tick():
-            count[0] += 1
-            if count[0] < 50_000:
-                sim.schedule(1e-6, tick)
-
-        sim.schedule(0.0, tick)
-        sim.run()
-        return count[0]
-
-    assert benchmark(run) == 50_000
-
-
 def test_link_packet_throughput(benchmark):
     """Store-and-forward forwarding cost per packet."""
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import os
 import math
 import struct
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -121,143 +120,6 @@ class ScheduledCall:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<ScheduledCall t={self.time:.6f} {self.fn!r} ({state})>"
-
-
-class _CalendarQueue:
-    """Calendar queue (Brown 1988): an array of time-bucketed event lists.
-
-    Alternative to the binary heap behind ``Simulator(scheduler="calendar")``.
-    Push hashes the timestamp into a bucket (O(1)); pop scans forward from
-    the current bucket for the earliest event of the current "year".  With
-    the bucket width tracking the mean inter-event gap, both operations are
-    amortized O(1) versus the heap's O(log n).
-
-    Determinism contract: pops deliver the exact global ``(time, seq)``
-    minimum — the per-bucket scan takes the lexicographic min of the same
-    tuples the heap orders by — so the executed event order (and therefore
-    ``Simulator.digest()``) is identical to the heap scheduler's.
-
-    Entries are the same ``(time, seq, call)`` tuples the heap stores;
-    cancelled entries stay queued and are discarded by the caller on pop,
-    exactly as with the heap.  Non-finite timestamps cannot be bucketed and
-    go to a small overflow list that is only consulted when every bucket is
-    empty (the heap tolerates them outside sanitize mode, so the calendar
-    must too).
-    """
-
-    __slots__ = (
-        "buckets",
-        "nbuckets",
-        "width",
-        "size",
-        "cur",
-        "bucket_top",
-        "last_prio",
-        "overflow",
-    )
-
-    def __init__(self) -> None:
-        self.nbuckets = 8
-        self.width = 1.0
-        self.buckets: list[list] = [[] for _ in range(self.nbuckets)]
-        self.size = 0
-        self.cur = 0
-        self.bucket_top = self.width
-        self.last_prio = 0.0
-        self.overflow: list = []
-
-    def __len__(self) -> int:
-        return self.size + len(self.overflow)
-
-    def __iter__(self):
-        for b in self.buckets:
-            yield from b
-        yield from self.overflow
-
-    def push(self, item) -> None:
-        t = item[0]
-        if t - t != 0.0:  # non-finite (inf or nan): cannot be bucketed
-            self.overflow.append(item)
-            return
-        k = int(t / self.width)
-        self.buckets[k % self.nbuckets].append(item)
-        self.size += 1
-        if t < self.last_prio:
-            # The clock can sit behind the scan anchor (a bounded run
-            # peeks/pushes back a future event, then new events land
-            # before it): rewind the anchor so the year scan starts at
-            # or before every queued timestamp.
-            self.last_prio = t
-            self.cur = k % self.nbuckets
-            self.bucket_top = (k + 1) * self.width
-        if self.size > 2 * self.nbuckets:
-            self._resize(2 * self.nbuckets)
-
-    def pop(self):
-        if not self.size:
-            ov = self.overflow
-            best = min(ov)
-            ov.remove(best)
-            return best
-        i = self.cur
-        top = self.bucket_top
-        width = self.width
-        buckets = self.buckets
-        n = self.nbuckets
-        for _ in range(n):
-            b = buckets[i]
-            if b:
-                # The bucket's (time, seq) minimum is the year's minimum
-                # iff it falls under the year bound: any in-window entry
-                # would compare smaller than an out-of-window one.
-                best = min(b)
-                if best[0] < top:
-                    b.remove(best)
-                    self.cur = i
-                    self.bucket_top = top
-                    self.last_prio = best[0]
-                    self.size -= 1
-                    if self.size < self.nbuckets // 2 and self.nbuckets > 8:
-                        self._resize(self.nbuckets // 2)
-                    return best
-            i = i + 1 if i + 1 < n else 0
-            top += width
-        # Nothing within one full year of buckets: the queue is sparse
-        # relative to the clock — find the global minimum directly and
-        # re-anchor the calendar position there.
-        best = None
-        for b in buckets:
-            for item in b:
-                if best is None or item < best:
-                    best = item
-        buckets[int(best[0] / width) % n].remove(best)
-        k = int(best[0] / width)
-        self.cur = k % n
-        self.bucket_top = (k + 1) * width
-        self.last_prio = best[0]
-        self.size -= 1
-        return best
-
-    def _resize(self, newn: int) -> None:
-        items = [item for b in self.buckets for item in b]
-        # Brown's width rule: sample the head of the queue, set the bucket
-        # width to ~3x the mean non-zero inter-event gap so a year's scan
-        # usually ends within a bucket or two.
-        items.sort()
-        head = items[:32]
-        gaps = [b[0] - a[0] for a, b in zip(head, head[1:]) if b[0] > a[0]]
-        if gaps:
-            width = 3.0 * (sum(gaps) / len(gaps))
-            if width > 0.0:
-                self.width = width
-        self.nbuckets = newn
-        self.buckets = [[] for _ in range(newn)]
-        width = self.width
-        for item in items:
-            self.buckets[int(item[0] / width) % newn].append(item)
-        k = int(self.last_prio / width)
-        self.cur = k % newn
-        self.bucket_top = (k + 1) * width
 
 
 class Event:
@@ -436,26 +298,7 @@ class Simulator:
         "tracer",
     )
 
-    #: Scheduler backing this class's event queue; the calendar-queue
-    #: subclass overrides it.
-    scheduler = "heap"
-
-    def __new__(cls, sanitize: bool = False, scheduler: Optional[str] = None):
-        if cls is Simulator:
-            if scheduler is None:
-                scheduler = os.environ.get("REPRO_SCHEDULER") or "heap"
-            if scheduler == "calendar":
-                return object.__new__(_CalendarSimulator)
-            if scheduler != "heap":
-                raise ValueError(
-                    f"unknown scheduler {scheduler!r}: expected 'heap' or "
-                    "'calendar'"
-                )
-        return object.__new__(cls)
-
-    def __init__(
-        self, sanitize: bool = False, scheduler: Optional[str] = None
-    ) -> None:
+    def __init__(self, sanitize: bool = False) -> None:
         self._queue: list[tuple[float, int, ScheduledCall]] = []
         self._seq = 0
         self._now = 0.0
@@ -767,135 +610,3 @@ class Simulator:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator t={self._now:.6f} queued={len(self._queue)}>"
 
-
-class _CalendarSimulator(Simulator):
-    """:class:`Simulator` backed by a :class:`_CalendarQueue`.
-
-    Selected via ``Simulator(scheduler="calendar")`` (or the
-    ``REPRO_SCHEDULER=calendar`` environment variable).  Executes the exact
-    same event order as the heap scheduler — ``digest()`` is bit-identical —
-    only the queue data structure differs.  See docs/performance.md for the
-    measured head-to-head and why the heap remains the default.
-    """
-
-    __slots__ = ()
-
-    scheduler = "calendar"
-
-    def __init__(
-        self, sanitize: bool = False, scheduler: Optional[str] = None
-    ) -> None:
-        super().__init__(sanitize)
-        self._queue = _CalendarQueue()  # type: ignore[assignment]
-
-    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> ScheduledCall:
-        if delay < 0:
-            raise SimulationError(
-                f"cannot schedule in the past: delay={delay!r} for callback "
-                f"{self._describe(fn)} at t={self._now!r}"
-            )
-        if self._sanitize and not math.isfinite(delay):
-            raise SimulationError(
-                f"non-finite delay {delay!r} for callback {self._describe(fn)} "
-                f"at t={self._now!r} — NaN/inf delays corrupt heap ordering "
-                "silently"
-            )
-        call = ScheduledCall(self._now + delay, fn, args)
-        self._seq = seq = self._seq + 1
-        self._queue.push((call.time, seq, call))
-        return call
-
-    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> ScheduledCall:
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time!r} (now={self._now!r}): time is "
-                f"in the past for callback {self._describe(fn)}"
-            )
-        if self._sanitize and not math.isfinite(time):
-            raise SimulationError(
-                f"non-finite schedule time {time!r} for callback "
-                f"{self._describe(fn)} at t={self._now!r} — NaN/inf times "
-                "corrupt heap ordering silently"
-            )
-        call = ScheduledCall(time, fn, args)
-        self._seq += 1
-        self._queue.push((time, self._seq, call))
-        return call
-
-    def run(self, until: Optional[float] = None) -> float:
-        if self._running:
-            raise SimulationError("run() called reentrantly")
-        self._running = True
-        queue = self._queue
-        pop = queue.pop
-        observe = self._sanitize or self.tracer is not None
-        self._until = until
-        try:
-            if until is None:
-                while queue:
-                    time, seq, call = pop()
-                    if call.cancelled:
-                        continue
-                    if observe:
-                        self._observe_pop(time, seq, call)
-                    self._now = time
-                    call.fn(*call.args)
-            else:
-                while queue:
-                    time, seq, call = pop()
-                    if time > until:
-                        # Leave it queued, exactly like the heap's peek.
-                        queue.push((time, seq, call))
-                        break
-                    if call.cancelled:
-                        continue
-                    if observe:
-                        self._observe_pop(time, seq, call)
-                    self._now = time
-                    call.fn(*call.args)
-                if self._now < until:
-                    self._now = until
-        finally:
-            self._running = False
-            self._until = None
-        return self._now
-
-    def run_until(self, event: Event, limit: Optional[float] = None) -> Any:
-        if self._running:
-            raise SimulationError("run_until() called reentrantly")
-        self._running = True
-        queue = self._queue
-        pop = queue.pop
-        observe = self._sanitize or self.tracer is not None
-        self._until = limit
-        try:
-            while not event.triggered:
-                if not queue:
-                    raise SimulationError(
-                        "event queue drained before awaited event triggered"
-                    )
-                time, seq, call = pop()
-                if call.cancelled:
-                    continue
-                if limit is not None and time > limit:
-                    raise SimulationError(
-                        f"time limit {limit}s reached before awaited event triggered"
-                    )
-                if observe:
-                    self._observe_pop(time, seq, call)
-                self._now = time
-                call.fn(*call.args)
-        finally:
-            self._running = False
-            self._until = None
-        return event.value
-
-    def peek_time(self) -> Optional[float]:
-        queue = self._queue
-        while queue:
-            time, seq, call = queue.pop()
-            if call.cancelled:
-                continue
-            queue.push((time, seq, call))
-            return time
-        return None

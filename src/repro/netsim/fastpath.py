@@ -5,7 +5,7 @@ transit, the flow-transit planner) honors the same three-level opt-out:
 
 1. an explicit ``fast=`` argument on the component (``ProbeChannel``,
    ``TCPSender``, ``Pinger``, ``run_pathload``, ...) wins outright;
-2. otherwise the ``REPRO_NO_FAST`` environment variable disables the
+2. otherwise ``REPRO_NO_FAST=1`` in the environment disables the
    fast path (the hook the CLIs' ``--no-fast`` flags and the sweep
    workers use, since worker processes only inherit the environment);
 3. otherwise the fast path is on.
@@ -37,10 +37,14 @@ NO_VECTOR_ENV = "REPRO_NO_VECTOR"
 
 
 def _resolve(flag: Optional[bool], env_var: str) -> bool:
-    """Shared precedence: explicit flag wins, else env opt-out, else on."""
+    """Shared precedence: explicit flag wins, else env opt-out, else on.
+
+    Only the value ``"1"`` opts out (the value every CLI writes), so
+    ``REPRO_NO_FAST=0`` leaves the fast paths on.
+    """
     if flag is not None:
         return bool(flag)
-    return not os.environ.get(env_var)
+    return os.environ.get(env_var) != "1"
 
 
 def resolve_fast(fast: Optional[bool] = None) -> bool:

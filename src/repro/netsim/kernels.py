@@ -5,8 +5,7 @@ in the substrate's hot loops VECTOR-SAFE: the *prefix sum* (bulk arrival
 clocks), the *Lindley* fold ``f_i = max(t_i, f_{i-1}) + tx_i`` (FIFO
 transmitter state), and the *masked prefix sum* (per-owner byte
 accounting over a merged queue).  This module implements those shapes on
-NumPy arrays — and, when numba is importable, behind a JIT-compiled
-scalar twin — under one non-negotiable contract: **every result is
+NumPy arrays under one non-negotiable contract: **every result is
 ``==``-equal to the scalar loop it replaces**, element for element.
 
 How the Lindley fold stays exact
@@ -163,12 +162,6 @@ kernel_fallbacks: dict[str, int] = {}
 # Readiness: None = not yet self-checked, True/False afterwards.
 _ready: Optional[bool] = None
 _noted_disabled = False
-
-# Optional numba JIT of the exact scalar Lindley loop.  Compiled (and
-# bit-validated) lazily on first use; None when numba is unavailable or
-# its output ever diverges.
-_jit_lindley = None
-_jit_checked = False
 
 
 def _count(kernel: str) -> None:
@@ -346,12 +339,6 @@ def _self_check() -> bool:
             got, _reason = _lindley_numpy(free_at, t, tx, min_seg)
             if got is not None and list(got) != want:
                 return False
-        jit = _get_jit()
-        if jit is not None:
-            out = np.empty(t.shape[0], dtype=np.float64)
-            jit(free_at, t, tx, out)
-            if list(out) != want:
-                return False
     segmented_cases = [
         # (free_at, times, sizes, bounds, caps): idle and busy partitions,
         # arrivals exactly on a boundary (new rate), empty partitions,
@@ -415,32 +402,6 @@ def _self_check() -> bool:
         if any(a != b for a, b in zip(got, want)):
             return False
     return True
-
-
-def _get_jit():
-    """Compile (once) and return the numba Lindley twin, or None."""
-    global _jit_lindley, _jit_checked
-    if _jit_checked:
-        return _jit_lindley
-    _jit_checked = True
-    try:  # pragma: no cover - numba absent in the reference environment
-        import numba
-
-        @numba.njit(cache=False)
-        def _jit(free_at, t, tx, out):
-            for i in range(t.shape[0]):
-                ti = t[i]
-                start = free_at if free_at > ti else ti
-                free_at = start + tx[i]
-                out[i] = free_at
-
-        probe = np.asarray([0.0, 0.5], dtype=np.float64)
-        out = np.empty(2, dtype=np.float64)
-        _jit(0.25, probe, probe, out)  # force compilation now
-        _jit_lindley = _jit
-    except Exception:
-        _jit_lindley = None
-    return _jit_lindley
 
 
 # ----------------------------------------------------------------------
@@ -561,12 +522,6 @@ def lindley(free_at: float, times, txs, min_mean_seg: Optional[float] = None):
         return None
     t = np.asarray(times, dtype=np.float64)
     tx = np.asarray(txs, dtype=np.float64)
-    jit = _get_jit()
-    if jit is not None:
-        out = np.empty(t.shape[0], dtype=np.float64)
-        jit(free_at, t, tx, out)
-        _count("lindley")
-        return out.tolist()
     seg = MIN_MEAN_SEGMENT if min_mean_seg is None else min_mean_seg
     out, reason = _lindley_numpy(free_at, t, tx, seg)
     if out is None:
@@ -738,12 +693,6 @@ def fold_slice(free_at, times, sizes, lo, hi, cap, keep_after, arrays=None):
 def _fold_arrays(free_at, t, sz, cap, min_seg=None):
     """Shared exact fold core: tx = size * 8.0 / cap, then Lindley."""
     tx = sz * 8.0 / cap
-    jit = _get_jit()
-    if jit is not None:
-        out = np.empty(t.shape[0], dtype=np.float64)
-        jit(free_at, t, tx, out)
-        _count("lindley")
-        return out
     seg = MIN_MEAN_SEGMENT if min_seg is None else min_seg
     f, reason = _lindley_numpy(free_at, t, tx, seg)
     if f is None:
@@ -979,10 +928,8 @@ def masked_pending(owners, sizes, lo, hi, owner):
 
 def _reset_for_tests() -> None:
     """Clear readiness + counters (test hook; not part of the API)."""
-    global _ready, _noted_disabled, _jit_checked, _jit_lindley
+    global _ready, _noted_disabled
     _ready = None
     _noted_disabled = False
-    _jit_checked = False
-    _jit_lindley = None
     kernel_calls.clear()
     kernel_fallbacks.clear()

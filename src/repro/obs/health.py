@@ -9,8 +9,8 @@ trailing ``metrics`` line of a JSONL trace:
   packets by path, streams and TCP flows by fast-path outcome)?
 * *why* did anything fall back — fast-path refusals and revocations,
   vectorized-kernel declines — and on which links did packets die?
-* what did the engine do (events executed, heap high-water, scheduler
-  kinds) and how did the sweep cache behave?
+* what did the engine do (events executed, heap high-water, simulators
+  observed) and how did the sweep cache behave?
 
 The report ends with **hints**: actionable sentences produced only when
 a known pathology is visible (e.g. a full tracer dissolving flow
@@ -73,7 +73,7 @@ class RunHealth:
     #: engine totals
     engine_events: int = 0
     heap_high_water: int = 0
-    simulators: dict = field(default_factory=dict)
+    simulators: int = 0
     #: per-link table: name -> {bytes/packets forwarded/dropped,
     #: drop_fraction, queue_high_water_bytes}
     links: dict = field(default_factory=dict)
@@ -120,7 +120,7 @@ class RunHealth:
             "engine": {
                 "events_executed": self.engine_events,
                 "heap_high_water": self.heap_high_water,
-                "simulators": dict(sorted(self.simulators.items())),
+                "simulators": self.simulators,
             },
             "links": {name: self.links[name] for name in sorted(self.links)},
             "sweep": {
@@ -167,12 +167,10 @@ class RunHealth:
                 else ""
             )
         )
-        sims = ", ".join(
-            f"{kind}={n}" for kind, n in sorted(self.simulators.items()) if n
-        )
         lines.append(
             f"engine          {self.engine_events} events, heap high-water "
-            f"{self.heap_high_water}" + (f", simulators: {sims}" if sims else "")
+            f"{self.heap_high_water}"
+            + (f", {self.simulators} simulators" if self.simulators else "")
         )
         for name in sorted(self.links):
             row = self.links[name]
@@ -239,10 +237,7 @@ def health_from_snapshot(snapshot: Optional[dict]) -> RunHealth:
     }
     health.engine_events = int(_scalar(snapshot, "repro_engine_events_executed"))
     health.heap_high_water = int(_scalar(snapshot, "repro_engine_heap_high_water"))
-    health.simulators = {
-        k: int(n)
-        for k, n in _labeled(snapshot, "repro_engine_simulators", "scheduler").items()
-    }
+    health.simulators = int(_scalar(snapshot, "repro_engine_simulators"))
     fwd_b = _labeled(snapshot, "repro_link_bytes_forwarded", "link")
     fwd_p = _labeled(snapshot, "repro_link_packets_forwarded", "link")
     drop_b = _labeled(snapshot, "repro_link_bytes_dropped", "link")

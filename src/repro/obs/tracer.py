@@ -194,7 +194,7 @@ class Tracer:
         self._kernel_base = netsim_kernels.counts()
         # Child-tracer telemetry folded in by :meth:`merge_child`.
         self._kernel_merged: tuple[dict, dict] = ({}, {})
-        self._sched_merged: dict[str, int] = {}
+        self._merged_sims = 0
         self._merged_tasks = 0
 
     # ------------------------------------------------------------------
@@ -346,16 +346,10 @@ class Tracer:
             "repro_engine_heap_high_water",
             help="largest event-heap size observed",
         ).high_water(self._heap_high_water)
-        sched: dict[str, int] = dict(self._sched_merged)
-        for sim in self._sims:
-            kind = getattr(sim, "scheduler", "heap")
-            sched[kind] = sched.get(kind, 0) + 1
-        for kind in sorted(sched):
-            m.gauge(
-                "repro_engine_simulators",
-                labels={"scheduler": kind},
-                help="simulators observed, by scheduler kind",
-            ).set(sched[kind])
+        m.gauge(
+            "repro_engine_simulators",
+            help="simulators observed across attached and merged tracers",
+        ).set(len(self._sims) + self._merged_sims)
         netsim_kernels.publish(
             m, base=self._kernel_base, merged=self._kernel_merged
         )
@@ -485,10 +479,9 @@ class Tracer:
                 if entry["value"] > self._heap_high_water:
                     self._heap_high_water = entry["value"]
             elif name == "repro_engine_simulators":
-                kind = labels.get("scheduler", "heap")
-                self._sched_merged[kind] = (
-                    self._sched_merged.get(kind, 0) + entry["value"]
-                )
+                # Labels are ignored: cache entries written before the
+                # gauge lost its ``scheduler`` label still sum correctly.
+                self._merged_sims += entry["value"]
             else:
                 if "link" in labels:
                     entry = dict(entry)

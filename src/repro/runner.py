@@ -35,7 +35,7 @@ def run_pathload_on_path(
     :func:`repro.netsim.fastpath.resolve_fast`, the same three-level
     opt-out every event-elided path (stream transit, flow transit, bulk
     cross traffic) honors: an explicit argument wins, else
-    ``REPRO_NO_FAST`` disables, else on.  Results are bit-identical
+    ``REPRO_NO_FAST=1`` disables, else on.  Results are bit-identical
     either way.
     """
     return run_pathload(

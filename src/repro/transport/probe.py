@@ -107,8 +107,8 @@ class ProbeChannel:
         Whether eligible streams take the analytic stream-transit path
         (:mod:`repro.netsim.streamtransit`) — one scheduled event per
         stream instead of one per packet per hop, bit-identical results.
-        ``None`` (default) enables it unless the ``REPRO_NO_FAST``
-        environment variable is set.
+        ``None`` (default) enables it unless the environment sets
+        ``REPRO_NO_FAST=1``.
     """
 
     def __init__(

@@ -398,7 +398,7 @@ class TestSanitizer:
         # guards against in-place mutation of queued entries.
         from repro.netsim.engine import ScheduledCall
 
-        sim = Simulator(sanitize=True, scheduler="heap")
+        sim = Simulator(sanitize=True)
         first = ScheduledCall(1.0, lambda: None, ())
         second = ScheduledCall(1.0, lambda: None, ())
         sim._queue = [(1.0, 7, first), (1.0, 3, second)]
@@ -438,10 +438,9 @@ class TestSanitizerEndToEnd:
 
 
 def _edge_case_workload(sim):
-    """Scheduler stress mix: ties, cancellations, far-future events,
+    """Event-queue stress mix: ties, cancellations, far-future events,
     zero-delay chains, bounded runs with resume, and post-run scheduling
-    that lands *behind* a previously peeked future event (the calendar
-    queue's anchor-rewind case)."""
+    that lands *behind* a previously peeked future event."""
     order = []
 
     def tag(x):
@@ -452,7 +451,6 @@ def _edge_case_workload(sim):
         sim.schedule(1.0, tag, f"tie{i}")
     victim = sim.schedule(1.0, tag, "cancelled")
     victim.cancel()
-    # Far-future event forces a sparse year scan / overflow-adjacent bucket.
     sim.schedule(1e9, tag, "far")
     # Zero-delay chain: each callback schedules the next at the same time.
     def chain(k):
@@ -473,86 +471,53 @@ def _edge_case_workload(sim):
     return order
 
 
-class TestCalendarScheduler:
-    def test_scheduler_dispatch_and_validation(self, monkeypatch):
-        from repro.netsim.engine import _CalendarSimulator
+class TestEventQueue:
+    def test_edge_case_order_and_digest(self):
+        sim = Simulator(sanitize=True)
+        order = _edge_case_workload(sim)
+        # Bulk events (scheduled at t=0.75) at one timestamp keep
+        # insertion (FIFO) order.
+        bulk = [
+            (2.75 + slot * 0.25, f"bulk{i}")
+            for slot in range(7)
+            for i in range(50)
+            if i % 7 == slot
+        ]
+        expected = (
+            [(0.5, f"chain{k}") for k in range(6)]
+            + [(0.8, "late-insert-a"), (0.8, "late-insert-b")]
+            + [(1.0, f"tie{i}") for i in range(6)]
+            + [e for e in bulk if e[0] < 3.125]
+            + [(3.125, "resume")]
+            + [e for e in bulk if e[0] > 3.125]
+            + [(1e9, "far")]
+        )
+        assert order == expected
+        assert sim.diagnostics == []
+        assert sim.digest() == "0695306ca9f0e1843c612ab04f4e3cc3"
 
-        monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
-        heap = Simulator()
-        cal = Simulator(scheduler="calendar")
-        assert heap.scheduler == "heap"
-        assert cal.scheduler == "calendar"
-        assert type(cal) is _CalendarSimulator
-        with pytest.raises(ValueError, match="scheduler"):
-            Simulator(scheduler="fibonacci")
+    def test_peek_time_with_cancellations(self):
+        sim = Simulator()
+        assert sim.peek_time() is None
+        head = sim.schedule(0.5, lambda: None)
+        sim.schedule(1.0, lambda: None)
+        assert sim.peek_time() == 0.5
+        head.cancel()
+        assert sim.peek_time() == 1.0
+        # Peeking never consumes: the event still runs.
+        ran = []
+        sim.schedule(2.0, ran.append, "x")
+        sim.run()
+        assert ran == ["x"]
 
-    def test_env_var_selects_calendar(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULER", "calendar")
-        assert Simulator().scheduler == "calendar"
-        # Explicit argument beats the environment.
-        assert Simulator(scheduler="heap").scheduler == "heap"
-
-    def test_edge_case_order_and_digest_match_heap(self):
-        heap = Simulator(sanitize=True, scheduler="heap")
-        cal = Simulator(sanitize=True, scheduler="calendar")
-        order_heap = _edge_case_workload(heap)
-        order_cal = _edge_case_workload(cal)
-        assert order_cal == order_heap
-        assert cal.diagnostics == [] and heap.diagnostics == []
-        assert cal.digest() == heap.digest()
-
-    def test_flow_workload_digest_matches_heap(self):
-        # End-to-end digest equality on a real TCP flow-transit workload.
-        from repro.experiments.fig01_03_owd import measure_single_stream
-
-        digests = []
-        for scheduler in ("heap", "calendar"):
-            sim = Simulator(sanitize=True, scheduler=scheduler)
-            measure_single_stream(96e6, seed=7, sim=sim)
-            assert sim.diagnostics == []
-            digests.append(sim.digest())
-        assert digests[0] == digests[1]
-
-    def test_peek_time_matches_heap_with_cancellations(self):
-        for scheduler in ("heap", "calendar"):
-            sim = Simulator(scheduler=scheduler)
-            assert sim.peek_time() is None
-            head = sim.schedule(0.5, lambda: None)
-            sim.schedule(1.0, lambda: None)
-            assert sim.peek_time() == 0.5
-            head.cancel()
-            assert sim.peek_time() == 1.0
-            # Peeking never consumes: the event still runs.
-            ran = []
-            sim.schedule(2.0, ran.append, "x")
-            sim.run()
-            assert ran == ["x"]
-
-    def test_non_finite_timestamps_overflow_not_lost(self):
-        # Without sanitize, inf delays are accepted; the calendar queue
-        # parks them in the overflow list and pops them last.
-        sim = Simulator(scheduler="calendar")
+    def test_non_finite_timestamp_survives_bounded_run(self):
+        # Without sanitize, inf delays are accepted and stay queued past
+        # any finite bound.
+        sim = Simulator()
         seen = []
         sim.schedule(float("inf"), seen.append, "inf")
         sim.schedule(1.0, seen.append, "finite")
         assert sim.pending_count() == 2
         sim.run(until=10.0)
         assert seen == ["finite"]
-        assert sim.pending_count() == 1  # inf event pushed back, not lost
-
-    def test_resize_cycles_preserve_order(self):
-        # Push enough to force repeated bucket-array doublings, drain to
-        # force downsizing, and interleave both with pops.
-        heap = Simulator(scheduler="heap")
-        cal = Simulator(scheduler="calendar")
-        orders = []
-        for sim in (heap, cal):
-            order = []
-            for i in range(400):
-                sim.schedule((i * 37 % 101) * 0.01, order.append, i)
-            sim.run(until=0.3)
-            for i in range(100):
-                sim.schedule((i * 13 % 17) * 0.05, order.append, 1000 + i)
-            sim.run()
-            orders.append(order)
-        assert orders[0] == orders[1]
+        assert sim.pending_count() == 1

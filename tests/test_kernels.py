@@ -445,6 +445,22 @@ class TestDegradation:
         assert kernels.fold_slice(0.0, [1.0], [100], 0, 1, 1e7, 0.0) is None
         assert kernels.kernel_fallbacks.get("disabled") == 1  # noted once
 
+    def test_only_value_one_opts_out(self, monkeypatch):
+        from repro.netsim.fastpath import NO_FAST_ENV, resolve_fast, resolve_vector
+
+        monkeypatch.setenv(NO_FAST_ENV, "0")
+        monkeypatch.setenv(NO_VECTOR_ENV, "0")
+        assert resolve_fast() and resolve_vector()
+        kernels._reset_for_tests()
+        assert kernels.enabled()
+        monkeypatch.setenv(NO_FAST_ENV, "1")
+        monkeypatch.setenv(NO_VECTOR_ENV, "1")
+        assert not resolve_fast() and not resolve_vector()
+        kernels._reset_for_tests()
+        assert not kernels.enabled()
+        # An explicit argument still beats the environment.
+        assert resolve_fast(True) and resolve_vector(True)
+
     def test_self_check_failure_disables_permanently(self, monkeypatch):
         monkeypatch.setattr(kernels, "_self_check", lambda: False)
         assert not kernels.enabled()

@@ -333,6 +333,39 @@ class TestRunHealth:
         assert any("--trace-light" in hint for hint in health.hints)
         assert "--trace-light" in health.render_text()
 
+    def test_simulator_count_sums_labelled_and_unlabelled_children(
+        self, tmp_path, capsys
+    ):
+        # Cache entries written while the gauge still carried a
+        # ``scheduler`` label must merge into the same unlabelled total.
+        def child_state(n_sims):
+            child = Tracer(light=True)
+            for _ in range(n_sims):
+                child.attach(Simulator())
+            return child.dump_state()
+
+        legacy = child_state(2)
+        for entry in legacy["metrics"]:
+            if entry["name"] == "repro_engine_simulators":
+                assert entry["labels"] == []
+                entry["labels"] = [["scheduler", "heap"]]
+        parent = Tracer(light=True)
+        parent.attach(Simulator())
+        parent.merge_child(legacy, 0)
+        parent.merge_child(child_state(3), 1)
+        assert health_from_tracer(parent).simulators == 6
+
+        path = str(tmp_path / "merged.jsonl")
+        parent.write_jsonl(path)
+        capsys.readouterr()
+        assert trace_main(["health", path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["engine"]["simulators"] == 6
+        assert trace_main(["summarize", path, "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["health"]["engine"]["simulators"] == 6
+        assert trace_main(["health", path]) == 0
+        assert "6 simulators" in capsys.readouterr().out
+
     def test_empty_snapshot_is_renderable(self):
         health = health_from_snapshot(None)
         assert health.probe_packets_total == 0

@@ -247,14 +247,11 @@ class TestCache:
         assert [o.cached for o in slow] == [False]
         assert sweep_values(slow) == sweep_values(fast)
 
-    def test_kernel_and_scheduler_flags_stay_out_of_cache_key(
-        self, tmp_path, monkeypatch
-    ):
-        """Vector kernels and the calendar scheduler are invisible to the
-        cache, exactly like ``REPRO_NO_FAST`` above: both are bit-identity
-        execution strategies, so an entry written under any combination of
-        ``REPRO_NO_VECTOR`` / ``REPRO_SCHEDULER`` must satisfy every other
-        combination, and the package version stays at 1.1.0.
+    def test_kernel_flag_stays_out_of_cache_key(self, tmp_path, monkeypatch):
+        """Vector kernels are invisible to the cache, exactly like
+        ``REPRO_NO_FAST`` above: both are bit-identity execution
+        strategies, so an entry written with or without ``REPRO_NO_VECTOR``
+        must satisfy the other, and the package version stays at 1.1.0.
         """
         import repro
 
@@ -264,26 +261,15 @@ class TestCache:
             fn=_tiny_pathload, seed_entropy=5, experiment="unit-kernel"
         )
         monkeypatch.delenv("REPRO_NO_VECTOR", raising=False)
-        monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
         base_key = cache_key(task)
         first = run_sweep([task], jobs=1, cache=True, cache_dir=str(tmp_path))
         assert [o.cached for o in first] == [False]
 
-        for env in (
-            {"REPRO_NO_VECTOR": "1"},
-            {"REPRO_SCHEDULER": "calendar"},
-            {"REPRO_NO_VECTOR": "1", "REPRO_SCHEDULER": "calendar"},
-        ):
-            for name, value in env.items():
-                monkeypatch.setenv(name, value)
-            assert cache_key(task) == base_key
-            hit = run_sweep(
-                [task], jobs=1, cache=True, cache_dir=str(tmp_path)
-            )
-            assert [o.cached for o in hit] == [True]
-            assert sweep_values(hit) == sweep_values(first)
-            for name in env:
-                monkeypatch.delenv(name)
+        monkeypatch.setenv("REPRO_NO_VECTOR", "1")
+        assert cache_key(task) == base_key
+        hit = run_sweep([task], jobs=1, cache=True, cache_dir=str(tmp_path))
+        assert [o.cached for o in hit] == [True]
+        assert sweep_values(hit) == sweep_values(first)
 
     def test_key_rejects_unstable_kwargs(self):
         task = SweepTask(
