@@ -93,11 +93,12 @@ def median_groups(owds: Sequence[float], n_groups: Optional[int] = None) -> np.n
     if n_groups > k:
         n_groups = k
     group_size = k // n_groups
+    # One row-wise median over the equal-size groups, one over the last
+    # (longer) group: the same per-group values as a loop over slices.
+    split = (n_groups - 1) * group_size
     medians = np.empty(n_groups, dtype=np.float64)
-    for g in range(n_groups):
-        start = g * group_size
-        end = (g + 1) * group_size if g < n_groups - 1 else k
-        medians[g] = np.median(owds[start:end])
+    medians[:-1] = np.median(owds[:split].reshape(n_groups - 1, group_size), axis=1)
+    medians[-1] = np.median(owds[split:])
     return medians
 
 

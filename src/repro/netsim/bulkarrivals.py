@@ -47,9 +47,8 @@ full contract and the fallback conditions.
 
 from __future__ import annotations
 
-import bisect
 import math
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -65,6 +64,12 @@ __all__ = ["CrossAggregator"]
 #: Consumed-prefix length beyond which the merged arrays are compacted.
 _COMPACT_THRESHOLD = 16384
 
+#: Initial capacity of the merged queue's buffers (they grow by doubling).
+_INITIAL_CAPACITY = 4096
+
+_NO_TIMES = np.empty(0, dtype=np.float64)
+_NO_SIZES = np.empty(0, dtype=np.int64)
+
 
 class _Feed:
     """One source's buffered future arrivals (absolute times, sizes)."""
@@ -73,21 +78,29 @@ class _Feed:
 
     def __init__(self, source: "CrossTrafficSource", order: int):
         self.source = source
-        self.times: list[float] = []
-        self.sizes: list[int] = []
+        self.times: np.ndarray = _NO_TIMES  # float64, sorted
+        self.sizes: np.ndarray = _NO_SIZES  # int64
         self.done = False  # True once the source's stop time truncated a batch
-        self.order = order  # registration order, breaks exact-time ties
+        self.order = order  # registration order: owner index, tie-break
 
 
 class CrossAggregator:
     """Per-link k-way merger of bulk cross-traffic sources.
 
-    The aggregator owns the link's flat admission queue (``times`` /
-    ``sizes`` / ``owners``, consumed by :meth:`Link.sync` via ``idx``) and
-    the single refill-horizon event that extends it.  Entries are merged
-    only up to the *safe horizon* — the earliest last-buffered time over
-    all still-active sources — so a source refilling later can never
-    insert an arrival behind one already merged.
+    The aggregator owns the link's flat admission queue — ``times`` /
+    ``sizes`` / ``owner`` (float64 / int64 / intp arrays; ``owner`` is
+    each entry's feed registration index), consumed by :meth:`Link.sync`
+    via ``idx`` — and the single refill-horizon event that extends it.
+    Entries are merged only up to the *safe horizon* — the earliest
+    last-buffered time over all still-active sources — so a source
+    refilling later can never insert an arrival behind one already
+    merged.
+
+    Merges only append (the three arrays are views of doubling buffers),
+    and :meth:`compact` is the only operation that shifts indices: the
+    planners' cursors into the queue (``HopAgenda.ci_start``/``ci_end``,
+    the flow domain's ``vci``) rely on that.  Read the attributes afresh
+    after anything that may merge.
     """
 
     __slots__ = (
@@ -96,14 +109,11 @@ class CrossAggregator:
         "feeds",
         "times",
         "sizes",
-        "owners",
+        "owner",
         "idx",
         "_event",
         "_merge_pending",
         "_horizon",
-        "_mirror_t",
-        "_mirror_s",
-        "_mirror_lo",
     )
 
     def __init__(self, sim: "Simulator", link: "Link"):
@@ -111,26 +121,15 @@ class CrossAggregator:
         self.link = link
         self.feeds: list[_Feed] = []
         #: merged admission queue; ``idx`` is the first not-yet-admitted entry
-        self.times: list[float] = []
-        self.sizes: list[int] = []
-        self.owners: list["CrossTrafficSource"] = []
+        self.times = np.empty(_INITIAL_CAPACITY, dtype=np.float64)[:0]
+        self.sizes = np.empty(_INITIAL_CAPACITY, dtype=np.int64)[:0]
+        self.owner = np.empty(_INITIAL_CAPACITY, dtype=np.intp)[:0]
         self.idx = 0
         self._event = None  # pending refill-horizon ScheduledCall
         self._merge_pending = False  # a coalescing merge event is queued
         # Merged coverage: every arrival ≤ _horizon is final (safe-horizon
         # invariant).  -inf until the first merge, +inf once all feeds end.
         self._horizon = -math.inf
-        # Array mirror of the merged tail: ``_mirror_lo`` is the flat
-        # index (in ``times`` coordinates) of chunk 0's first element,
-        # and the chunks' concatenation covers ``times[_mirror_lo:]``
-        # through the end.  ``_mirror_lo`` goes negative when compaction
-        # trims a partially consumed chunk; it is None while the vector
-        # kernels are off — the mirror restarts at the next merge that
-        # produces arrays.  Lets the fold kernels consume merged slices
-        # without re-converting the Python lists element by element.
-        self._mirror_t: list[np.ndarray] = []
-        self._mirror_s: list[np.ndarray] = []
-        self._mirror_lo: Optional[int] = 0
 
     @classmethod
     def attach(cls, sim: "Simulator", link: "Link") -> "CrossAggregator":
@@ -140,6 +139,45 @@ class CrossAggregator:
             agg = cls(sim, link)
             link._agg = agg
         return agg
+
+    # ------------------------------------------------------------------
+    # Queue storage
+    # ------------------------------------------------------------------
+    def _resize(self, n: int) -> None:
+        """Point ``times``/``sizes``/``owner`` at the first ``n`` slots."""
+        self.times = self.times.base[:n]
+        self.sizes = self.sizes.base[:n]
+        self.owner = self.owner.base[:n]
+
+    def _append(self, t: np.ndarray, s: np.ndarray, o) -> None:
+        """Append merged entries (``o``: owner index array or scalar)."""
+        n = self.times.shape[0]
+        m = n + t.shape[0]
+        if m > self.times.base.shape[0]:
+            cap = max(2 * self.times.base.shape[0], m)
+            for name in ("times", "sizes", "owner"):
+                old = getattr(self, name)
+                buf = np.empty(cap, dtype=old.dtype)
+                buf[:n] = old
+                setattr(self, name, buf[:n])
+        self._resize(m)
+        self.times[n:] = t
+        self.sizes[n:] = s
+        self.owner[n:] = o
+
+    def _take_pending(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Remove the unadmitted tail; return it split per feed."""
+        idx = self.idx
+        tail_t = self.times[idx:]
+        tail_s = self.sizes[idx:]
+        tail_o = self.owner[idx:]
+        split = []
+        for feed in self.feeds:
+            sel = tail_o == feed.order
+            split.append((tail_t[sel], tail_s[sel]))
+        self._resize(0)
+        self.idx = 0
+        return split
 
     # ------------------------------------------------------------------
     # Source registration
@@ -173,29 +211,11 @@ class CrossAggregator:
 
     def _unmerge(self) -> None:
         """Return unadmitted merged entries to their feeds (rare path)."""
-        times, sizes, owners, idx = self.times, self.sizes, self.owners, self.idx
         self._horizon = -math.inf  # a new source invalidates merged coverage
-        self._mirror_t.clear()
-        self._mirror_s.clear()
-        self._mirror_lo = 0
-        if idx >= len(times):
-            del times[:], sizes[:], owners[:]
-            self.idx = 0
-            return
-        rollback: dict[_Feed, tuple[list[float], list[int]]] = {
-            feed: ([], []) for feed in self.feeds
-        }
-        for i in range(idx, len(times)):
-            feed = owners[i]._feed
-            ts, ss = rollback[feed]
-            ts.append(times[i])
-            ss.append(sizes[i])
-        for feed, (ts, ss) in rollback.items():
-            if ts:
-                feed.times[:0] = ts
-                feed.sizes[:0] = ss
-        del times[:], sizes[:], owners[:]
-        self.idx = 0
+        for feed, (ts, ss) in zip(self.feeds, self._take_pending()):
+            if ts.shape[0]:
+                feed.times = np.concatenate((ts, feed.times))
+                feed.sizes = np.concatenate((ss, feed.sizes))
 
     # ------------------------------------------------------------------
     # Merge machinery
@@ -210,84 +230,39 @@ class CrossAggregator:
         order of magnitude cheaper than per-entry heap operations.
         """
         for feed in self.feeds:
-            if not feed.done and not feed.times:
+            if not feed.done and not feed.times.shape[0]:
                 feed.source._bulk_fill(feed)
-        horizons = [feed.times[-1] for feed in self.feeds if not feed.done]
+        horizons = [float(feed.times[-1]) for feed in self.feeds if not feed.done]
         safe = min(horizons) if horizons else math.inf
         self._horizon = safe
-        parts_t: list[list[float]] = []
-        parts_s: list[list[int]] = []
-        part_feeds: list[_Feed] = []
-        times, sizes, owners = self.times, self.sizes, self.owners
+        parts_t: list[np.ndarray] = []
+        parts_s: list[np.ndarray] = []
+        orders: list[int] = []
         for feed in self.feeds:
-            if feed.times and feed.times[0] <= safe:
-                cut = bisect.bisect_right(feed.times, safe)
-                parts_t.append(feed.times[:cut])
+            ft = feed.times
+            if ft.shape[0] and ft[0] <= safe:
+                cut = int(ft.searchsorted(safe, side="right"))
+                parts_t.append(ft[:cut])
                 parts_s.append(feed.sizes[:cut])
-                part_feeds.append(feed)
-                del feed.times[:cut]
-                del feed.sizes[:cut]
+                orders.append(feed.order)
+                feed.times = ft[cut:]
+                feed.sizes = feed.sizes[cut:]
         if parts_t:
-            mt, ms, part_idx, t_arr, s_arr = kernels.merge_parts(
-                parts_t, parts_s
+            mt, ms, part_idx = kernels.merge_parts(
+                parts_t, parts_s, self.sim.vector
             )
-            times.extend(mt)
-            sizes.extend(ms)
-            if part_idx is None:
-                # Single contributing source (single-source links, and
-                # every horizon where only the binding feed refilled past
-                # the others' heads): its due prefix spliced wholesale.
-                owners.extend([part_feeds[0].source] * len(mt))
-            else:
-                srcs = [feed.source for feed in part_feeds]
-                owners.extend([srcs[i] for i in part_idx])
-            if t_arr is not None:
-                self._mirror_append(t_arr, s_arr)
-            elif self._mirror_lo is not None:
-                # Kernels off for this merge: coverage of the tail broke.
-                self._mirror_t.clear()
-                self._mirror_s.clear()
-                self._mirror_lo = None
+            # Single contributing source (single-source links, and every
+            # horizon where only the binding feed refilled past the
+            # others' heads): its due prefix is spliced wholesale.
+            owner = orders[0] if part_idx is None else np.asarray(orders)[part_idx]
+            self._append(mt, ms, owner)
         self._reschedule(safe if horizons else None)
 
-    def _mirror_append(self, t_arr: np.ndarray, s_arr: np.ndarray) -> None:
-        """Extend (or restart) array-mirror coverage with a merged chunk."""
-        if self._mirror_lo is None:
-            self._mirror_lo = len(self.times) - len(t_arr)
-        self._mirror_t.append(t_arr)
-        self._mirror_s.append(s_arr)
+    def arrays(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Merged slice ``[lo:hi)`` as ``(float64, int64)`` array views."""
+        return self.times[lo:hi], self.sizes[lo:hi]
 
-    def arrays(self, lo: int, hi: int) -> Optional[tuple]:
-        """Merged slice ``[lo:hi)`` as ``(float64, int64)`` array views.
-
-        Returns None when the mirror does not cover the range (kernels
-        were off when those entries merged).  The common case — one
-        chunk spans the whole request — returns zero-copy views; ranges
-        crossing chunks pay one concatenate.
-        """
-        mlo = self._mirror_lo
-        if mlo is None or lo < mlo or hi <= lo:
-            return None
-        out_t: list[np.ndarray] = []
-        out_s: list[np.ndarray] = []
-        pos = mlo
-        for ct, cs in zip(self._mirror_t, self._mirror_s):
-            end = pos + len(ct)
-            if end > lo:
-                a = max(lo, pos) - pos
-                b = min(hi, end) - pos
-                out_t.append(ct[a:b])
-                out_s.append(cs[a:b])
-                if end >= hi:
-                    break
-            pos = end
-        if sum(len(c) for c in out_t) != hi - lo:  # pragma: no cover
-            return None  # coverage guard; tail invariant should prevent it
-        if len(out_t) == 1:
-            return out_t[0], out_s[0]
-        return np.concatenate(out_t), np.concatenate(out_s)
-
-    def _reschedule(self, safe: Optional[float]) -> None:
+    def _reschedule(self, safe) -> None:
         """Point the single refill-horizon event at ``safe`` (None: none)."""
         if self._event is not None:
             self._event.cancel()
@@ -330,18 +305,12 @@ class CrossAggregator:
         """Trim the consumed prefix of the merged arrays (amortized O(1))."""
         idx = self.idx
         if idx > _COMPACT_THRESHOLD:
-            del self.times[:idx]
-            del self.sizes[:idx]
-            del self.owners[:idx]
+            n = self.times.shape[0]
+            m = n - idx
+            for arr in (self.times, self.sizes, self.owner):
+                arr[:m] = arr[idx:]  # overlapping copy: numpy buffers it
+            self._resize(m)
             self.idx = 0
-            if self._mirror_lo is not None:
-                lo = self._mirror_lo - idx
-                chunks_t, chunks_s = self._mirror_t, self._mirror_s
-                while chunks_t and lo + len(chunks_t[0]) <= 0:
-                    lo += len(chunks_t[0])
-                    del chunks_t[0]
-                    del chunks_s[0]
-                self._mirror_lo = lo
 
     def release(self) -> None:
         """Hand every source back to the per-packet path.
@@ -358,26 +327,14 @@ class CrossAggregator:
         if self._event is not None:
             self._event.cancel()
             self._event = None
-        pending: dict[_Feed, tuple[list[float], list[int]]] = {
-            feed: ([], []) for feed in self.feeds
-        }
-        times, sizes, owners = self.times, self.sizes, self.owners
-        for i in range(self.idx, len(times)):
-            feed = owners[i]._feed
-            ts, ss = pending[feed]
-            ts.append(times[i])
-            ss.append(sizes[i])
-        del times[:], sizes[:], owners[:]
-        self.idx = 0
-        self._mirror_t.clear()
-        self._mirror_s.clear()
-        self._mirror_lo = 0
+        pending = self._take_pending()
         feeds, self.feeds = self.feeds, []
-        for feed in feeds:
-            ts, ss = pending[feed]
-            ts.extend(feed.times)
-            ss.extend(feed.sizes)
-            feed.source._resume_per_packet(ts, ss, feed.done)
+        for feed, (ts, ss) in zip(feeds, pending):
+            feed.source._resume_per_packet(
+                ts.tolist() + feed.times.tolist(),
+                ss.tolist() + feed.sizes.tolist(),
+                feed.done,
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

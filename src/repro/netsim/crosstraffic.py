@@ -57,7 +57,6 @@ probability zero, matching the exact-tie merge caveat documented in
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Optional, Sequence
 
 import numpy as np
@@ -108,6 +107,11 @@ class PacketMix:
             raise ValueError("packet sizes must be positive")
         self.sizes = np.array([s for s, _p in sizes_probs], dtype=np.int64)
         self.probs = np.array([p for _s, p in sizes_probs], dtype=np.float64)
+        # ``Generator.choice(sizes, p=probs)`` inverts this normalized CDF
+        # at ``random()`` draws; inverting it here consumes the identical
+        # draws without choice()'s per-call validation of ``p``.
+        self._cdf = self.probs.cumsum()
+        self._cdf /= self._cdf[-1]
 
     @property
     def mean_size(self) -> float:
@@ -115,8 +119,8 @@ class PacketMix:
         return float(np.dot(self.sizes, self.probs))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw ``n`` packet sizes."""
-        return rng.choice(self.sizes, size=n, p=self.probs)
+        """Draw ``n`` packet sizes (``==`` ``rng.choice(sizes, n, p=probs)``)."""
+        return self.sizes[self._cdf.searchsorted(rng.random(n), side="right")]
 
     @classmethod
     def constant(cls, size: int) -> "PacketMix":
@@ -287,28 +291,22 @@ class CrossTrafficSource:
         The fold loop deliberately does no per-source bookkeeping; a
         counter read instead folds due arrivals and subtracts what is
         still pending — this source's share of the aggregator's merged
-        tail plus its own unmerged feed buffer.  Reads are rare (tests,
-        end-of-run accounting); folds are the hot path.
+        tail (selected by its owner index) plus its own unmerged feed
+        buffer.  Reads are rare (tests, end-of-run accounting); folds are
+        the hot path.
         """
         self.link.sync()
         feed = self._feed
-        n = len(feed.sizes)
-        nbytes = sum(feed.sizes)
+        n = feed.sizes.shape[0]
+        nbytes = int(feed.sizes.sum())
         agg = self.link._agg
         if agg is not None:
-            owners, sizes = agg.owners, agg.sizes
-            lo, hi = agg.idx, len(owners)
-            got = None
-            if hi - lo >= kernels.MIN_BATCH:
-                got = kernels.masked_pending(owners, sizes, lo, hi, self)
-            if got is not None:
-                n += got[0]
-                nbytes += got[1]
-            else:
-                for i in range(lo, hi):
-                    if owners[i] is self:
-                        n += 1
-                        nbytes += sizes[i]
+            lo = agg.idx
+            got = kernels.masked_pending(
+                agg.owner[lo:], agg.sizes[lo:], feed.order, self.sim.vector
+            )
+            n += got[0]
+            nbytes += got[1]
         return n, nbytes
 
     def _bulk_eligible(self) -> bool:
@@ -335,29 +333,37 @@ class CrossTrafficSource:
             return float(self.rng.uniform(0.0, self.mean_gap))
         return float(self._next_gap())
 
-    def _refill(self) -> None:
+    def _draw(self) -> tuple[np.ndarray, np.ndarray]:
+        """One refill's interarrival gaps and sizes (float64, int64)."""
         mean = self.mean_gap
-        gaps: list[float] = []
-        sizes: list[int] = []
+        rng = self.rng
+        gaps = np.empty(_BATCH, dtype=np.float64)
+        sizes = np.empty(_BATCH, dtype=np.int64)
         # Draw in _CHUNK-sized sub-batches, alternating gaps and sizes: the
         # RNG stream consumption order then depends only on _CHUNK, so the
         # buffer size amortizes refill overhead without perturbing the
         # sample path of any seeded experiment.
-        for _ in range(_BATCH // _CHUNK):
+        for k in range(0, _BATCH, _CHUNK):
             if self.model == "poisson":
-                chunk = self.rng.exponential(mean, size=_CHUNK)
+                gaps[k:k + _CHUNK] = rng.exponential(mean, size=_CHUNK)
             elif self.model == "pareto":
-                # numpy's Generator.pareto draws Lomax samples (x_m = 1
-                # shifted to zero); interarrival = x_m * (1 + lomax) has
-                # mean x_m * alpha / (alpha - 1).
-                xm = mean * (self.alpha - 1.0) / self.alpha
-                chunk = xm * (1.0 + self.rng.pareto(self.alpha, size=_CHUNK))
-            else:  # cbr
-                chunk = np.full(_CHUNK, mean)
-            gaps.extend(chunk.tolist())
-            sizes.extend(self.mix.sample(self.rng, _CHUNK).tolist())
-        self._gaps = gaps
-        self._sizes = sizes
+                gaps[k:k + _CHUNK] = rng.pareto(self.alpha, size=_CHUNK)
+            sizes[k:k + _CHUNK] = self.mix.sample(rng, _CHUNK)
+        if self.model == "pareto":
+            # numpy's Generator.pareto draws Lomax samples (x_m = 1
+            # shifted to zero); interarrival = x_m * (1 + lomax) has
+            # mean x_m * alpha / (alpha - 1).
+            gaps += 1.0
+            gaps *= mean * (self.alpha - 1.0) / self.alpha
+        elif self.model == "cbr":
+            gaps.fill(mean)
+        return gaps, sizes
+
+    def _refill(self) -> None:
+        """Buffer one refill as plain lists for the per-packet path."""
+        gaps, sizes = self._draw()
+        self._gaps = gaps.tolist()
+        self._sizes = sizes.tolist()
         self._idx = 0
 
     def _ensure_buffered(self) -> None:
@@ -447,7 +453,7 @@ class CrossTrafficSource:
         The arrival times are the identical floating-point sums the
         per-packet path computes: ``Simulator.schedule(gap, ...)`` adds
         ``gap`` to the current arrival's timestamp, and so does the
-        running ``t += gap`` here.  RNG consumption order — warmup draw,
+        seeded prefix sum here.  RNG consumption order — warmup draw,
         then alternating gap/size chunks per refill, with modulation
         boundary draws interleaved at their event positions — is
         byte-identical.
@@ -457,19 +463,23 @@ class CrossTrafficSource:
         else:
             times, sizes = self._stationary_times()
         stop = self.stop
-        if stop is not None and times and times[-1] >= stop:
+        if stop is not None and times.shape[0] and times[-1] >= stop:
             # The per-packet path returns (without rescheduling) at the
             # first arrival >= stop; truncate there and finish the feed.
-            keep = bisect_left(times, stop)
-            del times[keep:]
+            keep = int(times.searchsorted(stop, side="left"))
+            times = times[:keep]
             sizes = sizes[:keep]
             feed.done = True
-        self._gen_packets += len(times)
-        self._gen_bytes += sum(sizes)
-        feed.times.extend(times)
-        feed.sizes.extend(sizes)
+        self._gen_packets += times.shape[0]
+        self._gen_bytes += int(sizes.sum())
+        if feed.times.shape[0]:
+            feed.times = np.concatenate((feed.times, times))
+            feed.sizes = np.concatenate((feed.sizes, sizes))
+        else:
+            feed.times = times
+            feed.sizes = sizes
 
-    def _stationary_times(self) -> tuple[list[float], list[int]]:
+    def _stationary_times(self) -> tuple[np.ndarray, np.ndarray]:
         """One unmodulated refill horizon of absolute arrival times."""
         skip_first_gap = False
         if self._bulk_first:
@@ -480,22 +490,20 @@ class CrossTrafficSource:
                 # consumes for cbr either).
                 self._bulk_clock += float(self.rng.uniform(0.0, self.mean_gap))
                 skip_first_gap = True
-        self._refill()
-        gaps = self._gaps
-        sizes = self._sizes
-        self._idx = len(sizes)  # the whole batch is consumed by this horizon
+        # The whole batch is consumed by this horizon; the per-packet
+        # buffers stay empty, so a later switch to per-packet refills.
+        gaps, sizes = self._draw()
         # The prefix-sum kernel rounds left-to-right, one addition per
         # element — bit-identical to the per-packet path's running
         # ``t += gap`` — on both its numpy and scalar paths.
         if skip_first_gap:
-            times = kernels.prefix_sum(self._bulk_clock, gaps[1:])
+            times = kernels.prefix_sum(self._bulk_clock, gaps[1:], self.sim.vector)
         else:
-            times = kernels.prefix_sum(self._bulk_clock, gaps)
-            del times[0]
-        self._bulk_clock = times[-1]
+            times = kernels.prefix_sum(self._bulk_clock, gaps, self.sim.vector)[1:]
+        self._bulk_clock = float(times[-1])
         return times, sizes
 
-    def _segmented_times(self) -> tuple[list[float], list[int]]:
+    def _segmented_times(self) -> tuple[np.ndarray, np.ndarray]:
         """One modulated refill horizon, generated per rate-factor segment.
 
         Walks the batch's gap draws exactly as the per-packet path's
@@ -505,11 +513,11 @@ class CrossTrafficSource:
         consumed once the walk reaches it — the same position in the RNG
         stream the ``_modulate`` event occupies.  Within a segment the
         arrival times are one seeded prefix sum over ``gap / factor``
-        (scalar division per gap, then left-to-right adds — the identical
+        (elementwise division, then left-to-right adds — the identical
         float expressions, in order).
         """
         t = self._bulk_clock
-        times: list[float]
+        parts: list[np.ndarray] = []
         if self._bulk_first:
             self._bulk_first = False
             if self.model == "cbr":
@@ -518,29 +526,26 @@ class CrossTrafficSource:
                 # (and before the first refill, which the per-packet path
                 # performs at that event).
                 self._mod_consume(t)
-                self._refill()
-                times = [t]
-                idx = 1  # gaps[0] replaced by the uniform phase offset
+                gaps, sizes = self._draw()
             else:
-                self._refill()
+                gaps, sizes = self._draw()
                 # The first arrival is scheduled at construction from the
                 # raw first gap — never factor-divided (no boundary has
                 # fired when it is computed).
-                t = t + self._gaps[0]
-                times = [t]
-                idx = 1
+                t = t + float(gaps[0])
+            parts.append(np.array([t]))
+            idx = 1  # gaps[0] consumed (or replaced by the cbr phase)
         else:
             # A boundary at or before the previous batch's last arrival
             # may be unconsumed (its crossing arrival closed that batch);
             # per-packet it fires before that arrival's event — which is
             # where this refill happens — so consume it before drawing.
             self._mod_consume(t)
-            self._refill()
-            times = []
+            gaps, sizes = self._draw()
             idx = 0
-        gaps = self._gaps
-        n = len(gaps)
+        n = gaps.shape[0]
         mean_gap = self.mean_gap
+        vector = self.sim.vector
         prefix_sum = kernels.prefix_sum
         while idx < n:
             # Boundaries at or before the last emitted arrival have fired
@@ -550,10 +555,9 @@ class CrossTrafficSource:
             b = self._mod_next_b
             if b == float("inf"):
                 # Chain dead (stop reached): the factor is frozen.
-                seg = prefix_sum(t, [g / f for g in gaps[idx:]])
-                times.extend(seg[1:])
-                t = seg[-1]
-                idx = n
+                seg = prefix_sum(t, gaps[idx:] / f, vector)
+                parts.append(seg[1:])
+                t = float(seg[-1])
                 break
             # Generate this segment's window: everything up to and
             # including the first arrival at or past the boundary (that
@@ -563,15 +567,14 @@ class CrossTrafficSource:
             remaining = n - idx
             if est > remaining:
                 est = remaining
-            seg = prefix_sum(t, [g / f for g in gaps[idx:idx + est]])
-            cut = bisect_left(seg, b, 1)  # seg[0] == t < b
+            seg = prefix_sum(t, gaps[idx:idx + est] / f, vector)
+            cut = int(seg.searchsorted(b, side="left"))  # seg[0] == t < b
             keep = cut if cut <= est else est
-            times.extend(seg[1:keep + 1])
-            t = seg[keep]
+            parts.append(seg[1:keep + 1])
+            t = float(seg[keep])
             idx += keep
-        self._idx = n  # the whole batch is consumed by this horizon
         self._bulk_clock = t
-        return times, self._sizes
+        return np.concatenate(parts), sizes
 
     def _resume_per_packet(
         self, times: list[float], sizes: list[int], exhausted: bool

@@ -42,6 +42,8 @@ import math
 import struct
 from typing import Any, Callable, Generator, Iterable, Optional
 
+from .fastpath import resolve_vector
+
 __all__ = [
     "Simulator",
     "Event",
@@ -296,6 +298,7 @@ class Simulator:
         "_until",
         "diagnostics",
         "tracer",
+        "vector",
     )
 
     def __init__(self, sanitize: bool = False) -> None:
@@ -319,6 +322,10 @@ class Simulator:
         #: only heap-order violations).  Always an empty list when
         #: ``sanitize=False``.
         self.diagnostics: list[str] = []
+        #: Whether the vectorized kernels may run for this simulation:
+        #: ``REPRO_NO_VECTOR`` resolved once here, not per kernel call.
+        #: Kernel call sites pass it to :func:`repro.netsim.kernels.enabled`.
+        self.vector = resolve_vector()
         #: Optional :class:`repro.obs.Tracer`, installed by ``Tracer.attach``
         #: or adopted from the process-global ambient tracer (see
         #: :func:`set_ambient_tracer`).  Read-only observer: it folds

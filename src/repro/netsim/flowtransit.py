@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import heapq
 import warnings
-from bisect import bisect_right
 from collections import deque
 from typing import TYPE_CHECKING, Optional
 
@@ -433,44 +432,39 @@ class FlowTransitDomain:
         agg = vl.agg
         if agg._horizon < t:
             agg.extend_until(t)
-        c_times = agg.times
-        c_sizes = agg.sizes
+        times = agg.times
         ci = vl.vci
-        cn = len(c_times)
-        if ci >= cn or c_times[ci] > t:
+        if ci >= times.shape[0] or times[ci] > t:
             return
+        cut = int(times.searchsorted(t, side="right"))
         free_at = vl.free_at
         backlog = vl.backlog
         infl = vl.infl
         cap = vl.cap
         buffer_bytes = vl.buffer_bytes
-        if buffer_bytes is None:
+        if (
+            buffer_bytes is None
+            and cut - ci >= kernels.MIN_BATCH
+            and kernels.enabled(self.sim.vector)
+        ):
             # Infinite buffer: the whole slice folds unconditionally, so
             # the vector Lindley kernel applies.  The scalar loop's final
             # state is "every entry completing after the last folded
             # arrival, plus the purge/backlog that implies" — exactly the
             # kernel's ``keep_after = tc_last`` contract.
-            cut = bisect_right(c_times, t, ci, cn)
-            if cut - ci >= kernels.MIN_BATCH and kernels.enabled():
-                tc_last = c_times[cut - 1]
-                folded = kernels.fold_slice(
-                    free_at, c_times, c_sizes, ci, cut, cap, tc_last,
-                    agg.arrays(ci, cut),
-                )
-                if folded is not None:
-                    free_at, kept, kept_bytes, _fold_bytes = folded
-                    while infl and infl[0][0] <= tc_last:
-                        backlog -= infl.popleft()[1]
-                    infl.extend(kept)
-                    vl.vci = cut
-                    vl.free_at = free_at
-                    vl.backlog = backlog + kept_bytes
-                    return
-        while ci < cn:
-            tc = c_times[ci]
-            if tc > t:
-                break
-            sz = c_sizes[ci]
+            tc_last = float(times[cut - 1])
+            ts, ss = agg.arrays(ci, cut)
+            folded = kernels.fold_slice(free_at, ts, ss, cap, tc_last, True)
+            if folded is not None:
+                free_at, kept, kept_bytes, _fold_bytes = folded
+                while infl and infl[0][0] <= tc_last:
+                    backlog -= infl.popleft()[1]
+                infl.extend(kept)
+                vl.vci = cut
+                vl.free_at = free_at
+                vl.backlog = backlog + kept_bytes
+                return
+        for tc, sz in zip(times[ci:cut].tolist(), agg.sizes[ci:cut].tolist()):
             while infl and infl[0][0] <= tc:
                 backlog -= infl.popleft()[1]
             if buffer_bytes is not None and backlog + sz > buffer_bytes:
@@ -480,8 +474,7 @@ class FlowTransitDomain:
                 free_at = start + sz * 8.0 / cap
                 infl.append((free_at, sz))
                 backlog += sz
-            ci += 1
-        vl.vci = ci
+        vl.vci = cut
         vl.free_at = free_at
         vl.backlog = backlog
 
@@ -1280,11 +1273,12 @@ class FlowTransitDomain:
             if an == a0 and vl.vci == vci0:
                 continue
             agg = vl.agg
-            cross = (
-                [(agg.times[ci], 0, ci) for ci in range(vci0, vl.vci)]
-                if agg is not None
-                else []
-            )
+            if agg is not None:
+                cross_t = agg.times[vci0:vl.vci].tolist()
+                cross_s = agg.sizes[vci0:vl.vci].tolist()
+            else:
+                cross_t = cross_s = []
+            cross = [(tc, 0, k) for k, tc in enumerate(cross_t)]
             fg = [(ag.pairs[i], 1, i) for i in range(a0, an)]
             infl = deque(infl0)
             cap = vl.cap
@@ -1293,7 +1287,7 @@ class FlowTransitDomain:
             for t, tag, i in heapq.merge(cross, fg):
                 while infl and infl[0][0] <= t:
                     backlog -= infl.popleft()[1]
-                sz = agg.sizes[i] if tag == 0 else ag.sizes[i]
+                sz = cross_s[i] if tag == 0 else ag.sizes[i]
                 if buffer_bytes is not None and backlog + sz > buffer_bytes:
                     if tag == 1 and ag.accepts[i]:
                         raise SimulationError(

@@ -14,25 +14,28 @@ How the Lindley fold stays exact
 a seeded accumulate reproduces a scalar running sum bit-for-bit.  The
 classic cumsum/max-accumulate Lindley transformation does *not* have
 that property (FP addition is non-associative), so the kernel never uses
-it.  Instead it exploits the recursion's structure:
+it for output.  Instead it exploits the recursion's structure:
 
-* a position ``p`` can only be an idle restart (``start = t_p``) if even
-  a server that went idle right before ``p-1``'s service would be free
-  by ``t_p`` — i.e. ``t_{p-1} + tx_{p-1} <= t_p``.  That *candidate*
-  test is vectorizable, and every true idle restart is a candidate;
-* between consecutive candidates the server is provably busy, so the
-  completion times are one seeded ``np.add.accumulate`` — the exact
-  scalar chain;
-* each candidate boundary itself is resolved with the scalar branch
-  (one comparison, one addition — the very ops the loop would do).
+* an element that finds the server idle completes at ``t_i + tx_i`` —
+  one vector add computes that value for every element at once;
+* an element that finds the server busy completes at ``f_{i-1} + tx_i``
+  — the same single addition the scalar loop performs, but it needs its
+  predecessor first.  Grouping the busy elements by their *depth* (their
+  position inside their busy period) makes every element of one depth
+  independent of the others, so one vector add per depth finishes them
+  all: the depth-ordered segmented scan.  Busy periods longer than
+  :data:`_DEPTH` finish with one seeded ``np.add.accumulate`` each.
 
-When every position is a candidate and the server starts idle, the whole
-fold collapses to the closed form ``t + tx`` (one vector add, exact).
-When candidates are dense but not total — a moderately loaded link — the
-per-segment dispatch overhead would eat the win, so the kernel *declines*
-and the call site keeps its scalar loop (see ``MIN_MEAN_SEGMENT``).
-Saturated links (probe streams at or above avail-bw, the hot case) give
-long busy runs and the full vector speedup.
+Which elements are busy comes from the classic transformation's
+approximate completion times, which locate idle restarts to within FP
+noise; a vectorized induction proof then checks every element against
+``max(t_i, f_{i-1}) + tx_i`` under the scalar rounding, so a mis-guessed
+restart (possible only on an FP near-tie) can never leak — the kernel
+declines and the call site runs its scalar loop.  The scan engages at
+every load: an idle link is one add plus the proof, a saturated one the
+all-busy closed form (one seeded chain).  Folds run in blocks of
+:data:`_BLOCK` arrivals carrying the transmitter state from one block to
+the next, so the scan's temporaries stay bounded however long a sync is.
 
 Self-check and degradation
 --------------------------
@@ -41,12 +44,13 @@ every vector path against the in-module scalar references with ``==``.
 Any mismatch — or numpy failing to import — permanently disables the
 kernels for the process and bumps ``repro_kernel_fallback_total`` with
 the reason; call sites silently keep their scalar loops, and nothing is
-ever raised.  ``REPRO_NO_VECTOR`` (resolved through
-:func:`repro.netsim.fastpath.resolve_vector`, CLI flag ``--no-vector``)
-forces the same fallback for A/B timing.  ``Simulator(sanitize=True)``
-additionally shadow-verifies planned streams end to end, so a kernel
-divergence that somehow escaped the self-check is still caught at
-runtime.
+ever raised.  ``REPRO_NO_VECTOR`` (resolved once per
+:class:`~repro.netsim.engine.Simulator` through
+:func:`repro.netsim.fastpath.resolve_vector`, CLI flag ``--no-vector``;
+call sites pass the simulator's flag as ``vector=``) forces the same
+fallback for A/B timing.  ``Simulator(sanitize=True)`` additionally
+shadow-verifies planned streams end to end, so a kernel divergence that
+somehow escaped the self-check is still caught at runtime.
 
 Selection is observable: ``kernel_calls`` / ``kernel_fallbacks`` are
 process-wide counters, published into every tracer's registry as
@@ -63,7 +67,6 @@ from .fastpath import resolve_vector
 
 __all__ = [
     "MIN_BATCH",
-    "MIN_MEAN_SEGMENT",
     "KERNELS",
     "KERNEL_FALLBACK_REASONS",
     "ONE_SHOT_REASONS",
@@ -89,37 +92,28 @@ except Exception:  # pragma: no cover - exercised via _force_disable in tests
     np = None
 
 #: Below this many elements a call site keeps its scalar loop outright —
-#: array conversion plus kernel dispatch would cost more than it saves.
-#: Crossover measured on the substrate microbenches: ~1 k elements when
-#: the slice must be converted from lists, ~200 when the aggregator's
-#: array mirror feeds the kernel directly.
-MIN_BATCH = 256
-
-#: The Lindley kernel declines when the *mean busy-segment length* it
-#: detects falls below this, because each segment pays one
-#: ``np.add.accumulate`` dispatch.  Tuned on the substrate microbenches.
-MIN_MEAN_SEGMENT = 24.0
-
-#: Offered-load pre-gate for the fold wrappers: below this utilization
-#: busy segments are short (mean ≈ 1/(1-ρ) arrivals), so the wrappers
-#: decline before paying any list→array conversion.  ρ ≈ 0.97 puts the
-#: expected segment length past ``MIN_MEAN_SEGMENT``; anything lower
-#: passed the gate only to decline after paying the conversion.  The
-#: residual structure check (``MIN_MEAN_SEGMENT``) catches bursty
-#: exceptions that sneak past.
-MIN_RHO = 0.97
+#: the scan's fixed cost (a few dozen numpy dispatches) would exceed
+#: what it saves.  Crossover measured against the call sites' scalar
+#: loops over ``.tolist()`` slices (docs/performance.md).
+MIN_BATCH = 1024
 
 #: Floor for the cross-free :func:`plan_hop` case.  A pure probe stream
 #: is paced at a constant rate with a constant packet size, so its fold
 #: collapses to one of the two closed forms (all-idle when R ≤ C,
 #: all-busy when R > C) — a handful of vector passes regardless of load,
 #: which beats the scalar walk from far fewer elements than the general
-#: segment walk does.  The ρ pre-gate is skipped for this case.  The
-#: competition is the planner's specialized cross-free Lindley chain
-#: (no tuple traffic at all), which the closed forms only outrun once
-#: the fixed ~12 µs of numpy dispatches amortizes — measured crossover
-#: ≈220 probes on the reference host.
+#: scan does.  The competition is the planner's specialized cross-free
+#: Lindley chain (no tuple traffic at all), which the closed forms only
+#: outrun once the fixed ~12 µs of numpy dispatches amortizes — measured
+#: crossover ≈220 probes on the reference host.
 MIN_PROBES = 256
+
+#: Busy-period depths the segmented scan resolves with one vector add
+#: each; deeper elements finish with a seeded accumulate per busy period.
+_DEPTH = 32
+
+#: Arrivals per scan block (the transmitter state carries across).
+_BLOCK = 16384
 
 #: Every kernel name the selection counter may carry, for declared-but-
 #: zero metric export (dashboards see stable series before the first
@@ -133,6 +127,8 @@ KERNELS: tuple[str, ...] = (
 )
 
 #: Every decline reason the fallback counter may carry, same purpose.
+#: ``short-segments`` is kept declared for dashboards and the benchmark's
+#: per-layer list but no longer increments: the scan engages at any load.
 KERNEL_FALLBACK_REASONS: tuple[str, ...] = (
     "disabled",
     "numpy-missing",
@@ -154,9 +150,9 @@ ONE_SHOT_REASONS: frozenset = frozenset(
 kernel_calls: dict[str, int] = {}
 
 #: Degradation events, by reason ("disabled", "numpy-missing",
-#: "self-check", "short-segments", "verify-failed", "unsorted-probes").
+#: "self-check", "verify-failed", "unsorted-probes", "segment-spill").
 #: One increment per *event* for the permanent reasons, per declined
-#: call for the regime ones; never per element.
+#: call for the others; never per element.
 kernel_fallbacks: dict[str, int] = {}
 
 # Readiness: None = not yet self-checked, True/False afterwards.
@@ -281,8 +277,9 @@ def _masked_prefix_sum_scalar(values, mask, initial):
 def enabled(vector: Optional[bool] = None) -> bool:
     """True when the vector kernels may be used for this call.
 
-    Combines the ``REPRO_NO_VECTOR`` opt-out (via
-    :func:`~repro.netsim.fastpath.resolve_vector`) with availability:
+    Combines the opt-out — the caller's resolved ``vector`` flag, or
+    ``REPRO_NO_VECTOR`` when it passes none (via
+    :func:`~repro.netsim.fastpath.resolve_vector`) — with availability:
     numpy importable and the first-use self-check passed.
     """
     global _noted_disabled
@@ -316,9 +313,12 @@ def _initialize() -> bool:
 def _self_check() -> bool:
     """Bit-equality of every vector path against its scalar reference."""
     tiny = 5e-324  # smallest subnormal: rounding differences cannot hide
+    # A busy period longer than the scan depth between idle gaps, so the
+    # seeded-accumulate finish runs too.
+    long_t = [0.0] + [0.01 * k for k in range(1, _DEPTH + 8)] + [100.0, 100.5]
+    long_tx = [0.5] * len(long_t)
     lindley_cases = [
         # (free_at, times, txs) spanning idle / saturated / mixed / ties
-        (0.0, [], []),
         (0.5, [1.0], [0.25]),
         (5.0, [1.0], [0.25]),
         (0.0, [0.0, 1.0, 2.0, 3.0], [0.5, 0.5, 0.5, 0.5]),          # all idle
@@ -328,22 +328,22 @@ def _self_check() -> bool:
         (tiny, [tiny, 2 * tiny, 1.0], [tiny, tiny, tiny]),
         (1e300, [0.0, 1.0, 1e300, 2e300], [1e285, 1e285, 1e285, 1e285]),
         (0.3, [0.1 * k for k in range(1, 40)], [0.077] * 39),
+        (0.0, long_t, long_tx),
+        (50.0, long_t, long_tx),
     ]
     for free_at, times, txs in lindley_cases:
         want = _lindley_scalar(free_at, times, txs)
-        t = np.asarray(times, dtype=np.float64)
-        tx = np.asarray(txs, dtype=np.float64)
-        # Force the segment walk even where the regime heuristic would
-        # decline, and separately let the closed forms trigger.
-        for min_seg in (0.0, MIN_MEAN_SEGMENT):
-            got, _reason = _lindley_numpy(free_at, t, tx, min_seg)
-            if got is not None and list(got) != want:
-                return False
+        got = _scan(
+            free_at,
+            np.asarray(times, dtype=np.float64),
+            np.asarray(txs, dtype=np.float64),
+        )
+        if got is not None and got.tolist() != want:
+            return False
     segmented_cases = [
         # (free_at, times, sizes, bounds, caps): idle and busy partitions,
         # arrivals exactly on a boundary (new rate), empty partitions,
         # rate steps both directions.
-        (0.0, [], [], [1.0], [8.0, 16.0]),
         (0.0, [0.1, 0.4, 1.0, 1.3], [100, 100, 100, 100], [1.0], [8e3, 4e3]),
         (0.5, [0.6, 0.61, 0.62, 2.5, 2.51], [500, 500, 500, 500, 500],
          [1.0, 2.0], [8e5, 4e5, 1.6e6]),
@@ -359,10 +359,9 @@ def _self_check() -> bool:
             np.asarray(sizes, dtype=np.int64),
             bounds,
             caps,
-            min_seg=0.0,
             note=False,
         )
-        if got is not None and list(got) != want:
+        if got is not None and got.tolist() != want:
             return False
     # A backlog spilling a transmission start across the boundary must
     # make the kernel decline — a fixed-rate fold would be wrong there.
@@ -372,7 +371,6 @@ def _self_check() -> bool:
         np.asarray([12500, 12500, 12500], dtype=np.int64),
         [1.0],
         [1e6, 2e6],  # each tx is 0.1s at 1 Mb/s: starts 2 and 3 spill
-        min_seg=0.0,
         note=False,
     )
     if spill is not None:
@@ -385,7 +383,7 @@ def _self_check() -> bool:
     for initial, deltas in prefix_cases:
         want = _prefix_sum_scalar(initial, deltas)
         got = _prefix_sum_numpy(initial, np.asarray(deltas, dtype=np.float64))
-        if got != want:
+        if got.tolist() != want:
             return False
     masked_cases = [
         ([], [], 0),
@@ -407,96 +405,147 @@ def _self_check() -> bool:
 # ----------------------------------------------------------------------
 # Core kernels (numpy paths)
 # ----------------------------------------------------------------------
-def _lindley_numpy(free_at, t, tx, min_mean_seg):
-    """Exact Lindley fold over float64 arrays.
+def _scan(free_at, t, tx):
+    """Exact Lindley fold of one block of float64 arrays.
 
-    Returns ``(f, None)`` with ``f[i] == max(t[i], f[i-1]) + tx[i]``
-    under the scalar evaluation order, or ``(None, reason)`` when the
-    kernel declines.  Three vector passes:
+    Returns ``f`` with ``f[i] == max(t[i], f[i-1]) + tx[i]`` under the
+    scalar evaluation order (``f[-1]`` = ``free_at``), or None when the
+    induction proof fails.  ``t`` must be non-empty.
 
-    1. *Structure guess.*  The classic prefix-sum/running-max Lindley
-       transformation computes the completion times up to accumulated
-       rounding — useless as output, but its idle restarts (positions
-       where the approximate backlog drains) locate the true busy
-       segments to within FP noise.
-    2. *Exact walk.*  Each guessed segment boundary is resolved with the
-       scalar branch (one comparison, one addition — the loop's own
-       ops); each segment interior is one seeded left-to-right
-       ``np.add.accumulate``, the bit-exact scalar chain.
-    3. *Proof.*  A vectorized induction check that every element
-       satisfies ``out[i] == max(t[i], out[i-1]) + tx[i]`` under the
-       same single rounding.  Any sequence passing it equals the scalar
-       fold exactly, so a mis-guessed boundary (possible only on an FP
-       near-tie) can never leak: verification fails and the call site
-       runs its scalar loop.
+    1. *Closed forms.*  If no service can overlap the next arrival even
+       from a standing start, ``f = t + tx``; if every chained completion
+       lands past the next arrival, ``f`` is one seeded chain (tried
+       first only when few positions could start idle).  Both validity
+       tests are the induction conditions themselves.
+    2. *Structure guess.*  The prefix-sum/running-max transformation
+       gives approximate completion times; positions whose predecessor
+       is (approximately) still in service are *busy*.
+    3. *Depth-ordered scan.*  Every element starts at its idle value
+       ``t + tx``.  Busy elements form runs (the tails of busy periods);
+       laying the runs out as the columns of a ``(depth, run)`` matrix
+       turns each depth into one contiguous row, computed from the row
+       above with one vector add — the scalar loop's own single
+       rounding.  Runs deeper than :data:`_DEPTH` finish with a seeded
+       ``np.add.accumulate`` each.
+    4. *Proof.*  A vectorized check that every element after the first
+       satisfies the recursion under the same rounding; any sequence
+       passing it equals the scalar fold exactly.
     """
     n = t.shape[0]
-    if n == 0:
-        return t[:0], None
-    if free_at <= t[0]:
-        idle = t + tx
-        if bool((idle[:-1] <= t[1:]).all()):
-            # Every service would finish before the next arrival even
-            # from a standing start: by induction no backlog ever
-            # forms, f = t + tx.
-            return idle, None
-    # All-busy closed form — the saturated hot case (probe streams at or
-    # above avail-bw, greedy TCP): one seeded chain.  If every chained
-    # completion lands past the next arrival, the server never idles, so
-    # by induction the chain *is* the exact scalar fold — no structure
-    # guess or verification pass needed.
     t0 = t[0]
-    chain = np.empty(n, dtype=np.float64)
-    chain[0] = (free_at if free_at > t0 else t0) + tx[0]
-    chain[1:] = tx[1:]
-    np.add.accumulate(chain, out=chain)
-    if n == 1 or bool((chain[:-1] > t[1:]).all()):
-        return chain, None
-    # Pass 1: approximate completion times (rounding differs, values are
-    # only used to place segment boundaries).
-    s = np.cumsum(tx)
+    first = (free_at if free_at > t0 else t0) + tx[0]
+    out = t + tx
+    out[0] = first
+    # Positions whose service would end before the next arrival even
+    # from a standing start.
+    n_free = int(np.count_nonzero(out[:-1] <= t[1:]))
+    if free_at <= t0 and n_free == n - 1:
+        return out
+    if n_free * 8 < n:
+        # Rarely free even from a standing start: most likely one busy
+        # period, so try the all-busy chain before the structure guess.
+        chain = tx.copy()
+        chain[0] = first
+        np.add.accumulate(chain, out=chain)
+        if n == 1 or bool((chain[:-1] > t[1:]).all()):
+            return chain
+    # Structure guess (rounding differs; only the busy flags are used).
+    s = np.add.accumulate(tx)
     g = t - s
-    g += tx  # g[k] = t[k] - sum(tx[:k]), one temp
-    if free_at > t[0]:
+    g += tx  # g[k] = t[k] - sum(tx[:k])
+    if free_at > t0:
         g[0] = free_at
-    approx = np.maximum.accumulate(g)
-    approx += s
-    bounds = (np.nonzero(approx[:-1] <= t[1:])[0] + 1).tolist()
-    if min_mean_seg and n < (len(bounds) + 1) * min_mean_seg:
-        # Busy segments too short: per-segment dispatch would cost more
-        # than the scalar loop.  (Declining on the guess is safe — it
-        # only routes the caller to the always-correct scalar path.)
-        return None, "short-segments"
-    bounds.append(n)
-    # Pass 2: exact per-segment chains.
-    out = tx.copy()
-    f = free_at
-    p = 0
-    for q in bounds:
-        tp = t[p]
-        start = f if f > tp else tp
-        out[p] = start + tx[p]
-        if q - p > 1:
-            np.add.accumulate(out[p:q], out=out[p:q])
-        f = out[q - 1]
-        p = q
-    # Pass 3: induction proof of bit-equality with the scalar fold.
-    t0 = t[0]
-    start0 = free_at if free_at > t0 else t0
-    if out[0] != start0 + tx[0]:
-        return None, "verify-failed"
-    if n > 1 and not bool(
-        (out[1:] == np.maximum(t[1:], out[:-1]) + tx[1:]).all()
-    ):
-        return None, "verify-failed"
-    return out, None
+    np.maximum.accumulate(g, out=g)
+    g += s
+    busy = np.flatnonzero(g[:-1] > t[1:])
+    nb = busy.shape[0]
+    if nb == n - 1:
+        # One busy period: a single seeded chain.
+        out[1:] = tx[1:]
+        np.add.accumulate(out, out=out)
+    elif nb:
+        busy += 1
+        # Run heads: busy positions whose predecessor is not busy.
+        head = np.empty(nb, dtype=bool)
+        head[0] = True
+        np.not_equal(busy[1:], busy[:-1] + 1, out=head[1:])
+        rs = np.flatnonzero(head)
+        nr = rs.shape[0]
+        rid = np.add.accumulate(head, dtype=np.intp)
+        rid -= 1
+        dep = np.arange(1, nb + 1)
+        dep -= rs[rid]  # depth >= 1 inside the busy period
+        ends = np.empty(nr, dtype=np.intp)
+        ends[:-1] = rs[1:]
+        ends[-1] = nb
+        lens = ends - rs
+        deepest = int(lens.max())
+        w = deepest if deepest < _DEPTH else _DEPTH
+        if deepest > w:
+            deep = busy[dep > w]
+            out[deep] = tx[deep]  # the seeded accumulates' addends
+            keep = np.flatnonzero(dep <= w)
+            dep = dep[keep]
+            rid = rid[keep]
+            cells = busy[keep]
+        else:
+            cells = busy
+        flat = dep * nr
+        flat += rid
+        y = np.zeros((w + 1) * nr)
+        y[:nr] = out[busy[rs] - 1]  # row 0: each run's idle-start seed
+        y[flat] = tx[cells]
+        rows = y.reshape(w + 1, nr)
+        for d in range(1, w + 1):
+            np.add(rows[d - 1], rows[d], out=rows[d])
+        out[cells] = y[flat]
+        if deepest > w:
+            long_runs = np.flatnonzero(lens > w)
+            lo = busy[rs[long_runs]] + (w - 1)
+            hi = busy[ends[long_runs] - 1] + 1
+            for a, b in zip(lo.tolist(), hi.tolist()):
+                np.add.accumulate(out[a:b], out=out[a:b])
+    # Induction proof of bit-equality with the scalar fold (out[0] is
+    # the scalar loop's first step verbatim).
+    if not bool((out[1:] == np.maximum(t[1:], out[:-1]) + tx[1:]).all()):
+        return None
+    return out
+
+
+def _fold(free_at, t, tx_of, keep_after=-float("inf")):
+    """Blocked exact fold of arrivals ``t``; ``tx_of(a, b)`` gives the
+    service times of block ``[a, b)``.
+
+    Returns ``(end_free_at, kept, first)`` — the completion times after
+    ``keep_after`` (a suffix, completions being monotone; all of them by
+    default) and the index of the first one — or None when a block's
+    proof fails (``verify-failed`` is noted).
+    """
+    n = t.shape[0]
+    kept = []
+    first_kept = n
+    for a in range(0, n, _BLOCK):
+        b = a + _BLOCK if a + _BLOCK < n else n
+        f = _scan(free_at, t[a:b], tx_of(a, b))
+        if f is None:
+            _note_fallback("verify-failed")
+            return None
+        free_at = float(f[-1])
+        if free_at > keep_after:
+            k = int(np.searchsorted(f, keep_after, side="right"))
+            if a + k < first_kept:
+                first_kept = a + k
+            kept.append(f[k:])
+    if len(kept) != 1:
+        kept = [np.concatenate(kept)] if kept else [t[:0]]
+    return free_at, kept[0], first_kept
 
 
 def _prefix_sum_numpy(initial, deltas):
     acc = np.empty(deltas.shape[0] + 1, dtype=np.float64)
     acc[0] = initial
     acc[1:] = deltas
-    return np.add.accumulate(acc).tolist()
+    return np.add.accumulate(acc, out=acc)
 
 
 def _masked_prefix_sum_numpy(values, mask, initial):
@@ -508,213 +557,19 @@ def _masked_prefix_sum_numpy(values, mask, initial):
     return np.add.accumulate(acc)[1:].tolist()
 
 
-# ----------------------------------------------------------------------
-# Public kernels
-# ----------------------------------------------------------------------
-def lindley(free_at: float, times, txs, min_mean_seg: Optional[float] = None):
-    """Vectorized exact Lindley fold; list of completion times, or None.
-
-    ``None`` means the kernel declined (disabled, unavailable, or the
-    detected busy segments are too short to win) and the caller must run
-    its scalar loop.  Inputs may be lists or float64 arrays.
-    """
-    if not enabled():
-        return None
-    t = np.asarray(times, dtype=np.float64)
-    tx = np.asarray(txs, dtype=np.float64)
-    seg = MIN_MEAN_SEGMENT if min_mean_seg is None else min_mean_seg
-    out, reason = _lindley_numpy(free_at, t, tx, seg)
-    if out is None:
-        _note_fallback(reason)
-        return None
-    _count("lindley")
-    return out.tolist()
-
-
-def lindley_segmented(free_at: float, times, sizes, bounds, caps):
-    """Exact Lindley fold under a piecewise-constant capacity schedule.
-
-    ``bounds``/``caps`` follow the :meth:`Link.capacity_at` convention
-    (``caps[k]`` in force on ``[bounds[k-1], bounds[k])``, a start
-    exactly on a boundary taking the new rate).  Returns the list of
-    completion times, or None when the kernel declines — disabled, a
-    busy period spilling a transmission start across a boundary
-    (``segment-spill``), or an inner fixed-rate fold declining.
-    """
-    if not enabled():
-        return None
-    t = np.asarray(times, dtype=np.float64)
-    sz = np.asarray(sizes, dtype=np.int64)
-    out = _lindley_segmented_numpy(free_at, t, sz, bounds, caps)
-    if out is None:
-        return None
-    return out.tolist()
-
-
-def prefix_sum(initial: float, deltas) -> list:
-    """Running sum ``[initial, initial+d0, initial+d0+d1, ...]``.
-
-    Always returns the full length ``len(deltas) + 1`` list; the numpy
-    path (a seeded ``np.add.accumulate``) and the scalar fallback are
-    bit-identical by construction, so this kernel never declines — it
-    only degrades.
-    """
-    if enabled():
-        _count("prefix_sum")
-        return _prefix_sum_numpy(initial, np.asarray(deltas, dtype=np.float64))
-    return _prefix_sum_scalar(initial, deltas)
-
-
-def masked_prefix_sum(values, mask, initial=0):
-    """Running sum of ``values[i]`` where ``mask[i]``, carrying elsewhere.
-
-    Returns a list of length ``len(values)`` (``out[-1]`` is the masked
-    total).  Integer inputs stay exact; float inputs are ``==``-equal to
-    the scalar fold (the unmasked positions add an exact zero, which can
-    normalize ``-0.0`` to ``+0.0`` — equal under ``==``).
-    """
-    if enabled() and len(values) >= 1:
-        _count("masked_prefix_sum")
-        return _masked_prefix_sum_numpy(
-            np.asarray(values), np.asarray(mask, dtype=bool), initial
-        )
-    return _masked_prefix_sum_scalar(values, mask, initial)
-
-
-def merge_parts(parts_t: Sequence[list], parts_s: Sequence[list]):
-    """Stable k-way merge of per-feed arrival lists.
-
-    Returns ``(times, sizes, part_idx, t_arr, s_arr)``: merged lists
-    ordered by time with exact-time ties broken by part order (then
-    within-part order) — the order a ``(time, part, index)``-keyed heap
-    would produce — plus the merged float64/int64 arrays when the numpy
-    path ran (``None``/``None`` otherwise).  ``part_idx`` is ``None``
-    for a single part (the order is the part itself).  The numpy path is
-    a stable argsort over the concatenation; the fallback is a stable
-    Python sort.  Pure reordering, no arithmetic, so both paths are
-    trivially bit-exact.  The caller keeps the arrays as its mirror so
-    later folds over the merged tail skip the list→array conversion.
-    """
-    if enabled():
-        _count("merge")
-        if len(parts_t) == 1:
-            # Single contributing part: the merged order is the part
-            # itself (returned unsorted and uncopied).
-            t_arr = np.asarray(parts_t[0], dtype=np.float64)
-            s_arr = np.asarray(parts_s[0], dtype=np.int64)
-            return parts_t[0], parts_s[0], None, t_arr, s_arr
-        cat_t = np.concatenate(
-            [np.asarray(p, dtype=np.float64) for p in parts_t]
-        )
-        order = np.argsort(cat_t, kind="stable")
-        cat_s = np.concatenate(
-            [np.asarray(p, dtype=np.int64) for p in parts_s]
-        )
-        part_idx = np.concatenate(
-            [np.full(len(p), k, dtype=np.intp) for k, p in enumerate(parts_t)]
-        )
-        t_arr = cat_t[order]
-        s_arr = cat_s[order]
-        return (
-            t_arr.tolist(),
-            s_arr.tolist(),
-            part_idx[order].tolist(),
-            t_arr,
-            s_arr,
-        )
-    if len(parts_t) == 1:
-        return parts_t[0], parts_s[0], None, None, None
-    entries = []
-    for k, (ts, ss) in enumerate(zip(parts_t, parts_s)):
-        for j in range(len(ts)):
-            entries.append((ts[j], k, ss[j]))
-    entries.sort(key=lambda e: e[0])  # stable: ties keep (part, index) order
-    return (
-        [e[0] for e in entries],
-        [e[2] for e in entries],
-        [e[1] for e in entries],
-        None,
-        None,
-    )
-
-
-# ----------------------------------------------------------------------
-# Site-facing fold wrappers (keep numpy out of the call sites)
-# ----------------------------------------------------------------------
-def fold_slice(free_at, times, sizes, lo, hi, cap, keep_after, arrays=None):
-    """Fold arrivals ``times[lo:hi]`` / ``sizes[lo:hi]`` through a FIFO
-    transmitter of ``cap`` bps starting at ``free_at``.
-
-    Returns ``(end_free_at, kept, kept_bytes, fold_bytes)`` where
-    ``kept`` lists the ``(completion, size)`` pairs still in flight after
-    ``keep_after`` — or None when the kernel declines and the caller must
-    run its scalar loop.  Used by ``Link.sync``'s infinite-buffer fold
-    (``keep_after = t_now``) and ``flowtransit._fold_cross``
-    (``keep_after`` = the last folded arrival time).
-
-    ``arrays``, when given, is the pre-converted ``(float64 times, int64
-    sizes)`` pair for the same slice — the
-    :meth:`~repro.netsim.bulkarrivals.CrossAggregator.arrays` mirror —
-    which skips the list→array conversion that otherwise dominates the
-    kernel's cost.
-    """
-    if not enabled():
-        return None
-    if arrays is not None:
-        t, sz = arrays
-        fold_bytes = int(sz.sum())
-        span = float(t[-1]) - float(t[0])
-    else:
-        t = sz = None
-        tsl = times[lo:hi]
-        ssl = sizes[lo:hi]
-        fold_bytes = sum(ssl)
-        span = tsl[-1] - tsl[0]
-    if fold_bytes * 8.0 < MIN_RHO * cap * span:
-        # Offered load too low for long busy runs: the scalar loop wins.
-        _note_fallback("short-segments")
-        return None
-    if t is None:
-        t = np.asarray(tsl, dtype=np.float64)
-        sz = np.asarray(ssl, dtype=np.int64)
-    f = _fold_arrays(free_at, t, sz, cap)
-    if f is None:
-        return None
-    keep = f > keep_after
-    if keep.any():
-        kept = list(zip(f[keep].tolist(), sz[keep].tolist()))
-        kept_bytes = int(sz[keep].sum())
-    else:
-        kept = []
-        kept_bytes = 0
-    return float(f[-1]), kept, kept_bytes, fold_bytes
-
-
-def _fold_arrays(free_at, t, sz, cap, min_seg=None):
-    """Shared exact fold core: tx = size * 8.0 / cap, then Lindley."""
-    tx = sz * 8.0 / cap
-    seg = MIN_MEAN_SEGMENT if min_seg is None else min_seg
-    f, reason = _lindley_numpy(free_at, t, tx, seg)
-    if f is None:
-        _note_fallback(reason)
-        return None
-    _count("lindley")
-    return f
-
-
-def _lindley_segmented_numpy(free_at, t, sz, bounds, caps, min_seg=None, note=True):
-    """Capacity-schedule fold: the proven fixed-rate kernel per segment.
+def _lindley_segmented_numpy(free_at, t, sz, bounds, caps, note=True):
+    """Capacity-schedule fold: the exact fixed-rate fold per segment.
 
     Arrivals are partitioned by arrival time at the schedule boundaries
     (``side="left"``: an arrival exactly on a boundary joins the new
     segment, mirroring ``bisect_right`` in the capacity lookup) and each
-    partition runs :func:`_fold_arrays` at its segment's rate.  That is
-    exact only if every transmission *started* inside the segment it was
-    partitioned into — a backlog can push a start past the boundary into
-    a different rate.  Starts are monotone on a FIFO link, so it
-    suffices to check the partition's last start: if it reaches the
-    segment end the kernel declines (``segment-spill``) and the caller's
-    scalar loop — which looks the rate up per packet — takes over.
+    partition folds at its segment's rate.  That is exact only if every
+    transmission *started* inside the segment it was partitioned into — a
+    backlog can push a start past the boundary into a different rate.
+    Starts are monotone on a FIFO link, so it suffices to check the
+    partition's last start: if it reaches the segment end the kernel
+    declines (``segment-spill``) and the caller's scalar loop — which
+    looks the rate up per packet — takes over.
     """
     n = t.shape[0]
     if n == 0:
@@ -728,9 +583,13 @@ def _lindley_segmented_numpy(free_at, t, sz, bounds, caps, min_seg=None, note=Tr
         q = int(cuts[k]) if k < nb else n
         if q <= p:
             continue
-        seg = _fold_arrays(f, t[p:q], sz[p:q], caps[k], min_seg)
-        if seg is None:
+        tp = t[p:q]
+        zp = sz[p:q]
+        cap = caps[k]
+        folded = _fold(f, tp, lambda a, b: zp[a:b] * 8.0 / cap)
+        if folded is None:
             return None
+        seg = folded[1]
         if k < nb:
             last_start = f if f > t[q - 1] else float(t[q - 1])
             if q - p > 1:
@@ -744,108 +603,203 @@ def _lindley_segmented_numpy(free_at, t, sz, bounds, caps, min_seg=None, note=Tr
         out[p:q] = seg
         f = float(seg[-1])
         p = q
-    _count("lindley_segmented")
     return out
 
 
+# ----------------------------------------------------------------------
+# Public kernels
+# ----------------------------------------------------------------------
+def lindley(free_at: float, times, txs, vector: Optional[bool] = None):
+    """Vectorized exact Lindley fold; list of completion times, or None.
+
+    ``None`` means the kernel declined (disabled, unavailable, or the
+    induction proof failed) and the caller must run its scalar loop.
+    Inputs may be lists or float64 arrays.
+    """
+    if not enabled(vector):
+        return None
+    t = np.asarray(times, dtype=np.float64)
+    if t.shape[0] == 0:
+        return []
+    tx = np.asarray(txs, dtype=np.float64)
+    folded = _fold(free_at, t, lambda a, b: tx[a:b])
+    if folded is None:
+        return None
+    _count("lindley")
+    return folded[1].tolist()
+
+
+def lindley_segmented(
+    free_at: float, times, sizes, bounds, caps, vector: Optional[bool] = None
+):
+    """Exact Lindley fold under a piecewise-constant capacity schedule.
+
+    ``bounds``/``caps`` follow the :meth:`Link.capacity_at` convention
+    (``caps[k]`` in force on ``[bounds[k-1], bounds[k])``, a start
+    exactly on a boundary taking the new rate).  Returns the list of
+    completion times, or None when the kernel declines — disabled, a
+    busy period spilling a transmission start across a boundary
+    (``segment-spill``), or a failed proof.
+    """
+    if not enabled(vector):
+        return None
+    t = np.asarray(times, dtype=np.float64)
+    sz = np.asarray(sizes, dtype=np.int64)
+    out = _lindley_segmented_numpy(free_at, t, sz, bounds, caps)
+    if out is None:
+        return None
+    _count("lindley_segmented")
+    return out.tolist()
+
+
+def prefix_sum(initial: float, deltas, vector: Optional[bool] = None):
+    """Running sum ``[initial, initial+d0, initial+d0+d1, ...]``.
+
+    Always returns the full length ``len(deltas) + 1`` float64 array; the
+    numpy path (a seeded ``np.add.accumulate``) and the scalar fallback
+    are bit-identical by construction, so this kernel never declines —
+    it only degrades.
+    """
+    if enabled(vector):
+        _count("prefix_sum")
+        return _prefix_sum_numpy(initial, np.asarray(deltas, dtype=np.float64))
+    if np is not None and isinstance(deltas, np.ndarray):
+        deltas = deltas.tolist()
+    return np.asarray(_prefix_sum_scalar(initial, deltas), dtype=np.float64)
+
+
+def masked_prefix_sum(values, mask, initial=0, vector: Optional[bool] = None):
+    """Running sum of ``values[i]`` where ``mask[i]``, carrying elsewhere.
+
+    Returns a list of length ``len(values)`` (``out[-1]`` is the masked
+    total).  Integer inputs stay exact; float inputs are ``==``-equal to
+    the scalar fold (the unmasked positions add an exact zero, which can
+    normalize ``-0.0`` to ``+0.0`` — equal under ``==``).
+    """
+    if enabled(vector) and len(values) >= 1:
+        _count("masked_prefix_sum")
+        return _masked_prefix_sum_numpy(
+            np.asarray(values), np.asarray(mask, dtype=bool), initial
+        )
+    return _masked_prefix_sum_scalar(values, mask, initial)
+
+
+def merge_parts(parts_t: Sequence, parts_s: Sequence, vector: Optional[bool] = None):
+    """Stable k-way merge of per-feed arrival arrays.
+
+    Returns ``(times, sizes, part_idx)`` as float64/int64/intp arrays
+    ordered by time with exact-time ties broken by part order (then
+    within-part order) — the order a ``(time, part, index)``-keyed heap
+    would produce.  ``part_idx`` is ``None`` for a single part (the order
+    is the part itself, returned uncopied).  The numpy path is a stable
+    argsort over the concatenation; the fallback is a stable Python
+    sort.  Pure reordering, no arithmetic, so both paths are trivially
+    bit-exact.
+    """
+    if len(parts_t) == 1:
+        return parts_t[0], parts_s[0], None
+    if enabled(vector):
+        _count("merge")
+        cat_t = np.concatenate(parts_t)
+        order = np.argsort(cat_t, kind="stable")
+        part_idx = np.repeat(
+            np.arange(len(parts_t)), [p.shape[0] for p in parts_t]
+        )
+        return cat_t[order], np.concatenate(parts_s)[order], part_idx[order]
+    entries = []
+    for k, (ts, ss) in enumerate(zip(parts_t, parts_s)):
+        entries.extend(zip(ts.tolist(), [k] * len(ts), ss.tolist()))
+    entries.sort(key=lambda e: e[0])  # stable: ties keep (part, index) order
+    return (
+        np.array([e[0] for e in entries], dtype=np.float64),
+        np.array([e[2] for e in entries], dtype=np.int64),
+        np.array([e[1] for e in entries], dtype=np.intp),
+    )
+
+
+# ----------------------------------------------------------------------
+# Site-facing fold wrappers (keep numpy out of the call sites)
+# ----------------------------------------------------------------------
+def _in_flight(done, sz):
+    """``(pairs, nbytes)``: the ``(completion, size)`` pairs still in flight."""
+    return list(zip(done.tolist(), sz.tolist())), int(sz.sum())
+
+
+def fold_slice(free_at, times, sizes, cap, keep_after, vector: Optional[bool] = None):
+    """Fold arrivals ``times`` / ``sizes`` (float64 / int64 arrays, one
+    slice of the merged queue) through a FIFO transmitter of ``cap`` bps
+    starting at ``free_at``.
+
+    Returns ``(end_free_at, kept, kept_bytes, fold_bytes)`` where
+    ``kept`` lists the ``(completion, size)`` pairs still in flight after
+    ``keep_after`` — or None when the kernel declines and the caller must
+    run its scalar loop.  Used by ``Link.sync``'s infinite-buffer fold
+    (``keep_after = t_now``) and ``flowtransit._fold_cross``
+    (``keep_after`` = the last folded arrival time).
+    """
+    if not enabled(vector):
+        return None
+    folded = _fold(free_at, times, lambda a, b: sizes[a:b] * 8.0 / cap, keep_after)
+    if folded is None:
+        return None
+    _count("lindley")
+    end, done, first = folded
+    return (end, *_in_flight(done, sizes[first:]), int(sizes.sum()))
+
+
 def fold_slice_segmented(
-    free_at, times, sizes, lo, hi, bounds, caps, keep_after, arrays=None
+    free_at, times, sizes, bounds, caps, keep_after, vector: Optional[bool] = None
 ):
     """Capacity-schedule twin of :func:`fold_slice` — same contract.
 
     Returns ``(end_free_at, kept, kept_bytes, fold_bytes)`` or None when
-    declining.  The ρ pre-gate uses the rate in force at the slice's
-    first arrival; the per-segment spill check inside the fold keeps the
-    result exact whatever the gate lets through.
+    declining; the per-segment spill check inside the fold keeps the
+    result exact.
     """
-    if not enabled():
+    if not enabled(vector):
         return None
-    if arrays is not None:
-        t, sz = arrays
-        fold_bytes = int(sz.sum())
-        t0 = float(t[0])
-        span = float(t[-1]) - t0
-    else:
-        t = sz = None
-        tsl = times[lo:hi]
-        ssl = sizes[lo:hi]
-        fold_bytes = sum(ssl)
-        t0 = tsl[0]
-        span = tsl[-1] - t0
-    cap_gate = caps[bisect_right(bounds, t0)]
-    if fold_bytes * 8.0 < MIN_RHO * cap_gate * span:
-        _note_fallback("short-segments")
-        return None
-    if t is None:
-        t = np.asarray(tsl, dtype=np.float64)
-        sz = np.asarray(ssl, dtype=np.int64)
-    f = _lindley_segmented_numpy(free_at, t, sz, bounds, caps)
+    f = _lindley_segmented_numpy(free_at, times, sizes, bounds, caps)
     if f is None:
         return None
-    keep = f > keep_after
-    if keep.any():
-        kept = list(zip(f[keep].tolist(), sz[keep].tolist()))
-        kept_bytes = int(sz[keep].sum())
-    else:
-        kept = []
-        kept_bytes = 0
-    return float(f[-1]), kept, kept_bytes, fold_bytes
+    _count("lindley_segmented")
+    k = int(np.searchsorted(f, keep_after, side="right"))
+    return (float(f[-1]), *_in_flight(f[k:], sizes[k:]), int(sizes.sum()))
 
 
 def plan_hop(
-    free_at, c_times, c_sizes, ci, cut, p_times, p_size, cap, t_end,
-    prop, arrays=None,
+    free_at, ct, cs, p_times, p_size, cap, t_end, prop,
+    vector: Optional[bool] = None,
 ):
     """Plan one infinite-buffer hop of a probe stream in one fold.
 
-    Merges cross arrivals ``c_times[ci:cut]`` (ties first, matching the
-    per-packet path) with the sorted probe arrivals ``p_times`` of
-    uniform ``p_size`` bytes, runs the exact Lindley fold, and gathers
-    the planner's observables.  Returns ``(dones, exits, new_in_flight,
-    end_free_at, fwd_bytes)`` — probe completion times in probe order,
-    their hop-exit times (``done + prop``), the merged entries still in
-    flight after ``t_end``, the transmitter state, and total bytes
-    forwarded — or None when declining (kernel disabled, probes
-    reordered by jitter, or busy segments too short).
-
-    ``arrays`` is the optional pre-converted cross slice, as in
-    :func:`fold_slice`.
+    Merges cross arrivals ``ct``/``cs`` (float64/int64 arrays of the
+    merged queue's due slice, or None on a hop without cross traffic;
+    ties first, matching the per-packet path)
+    with the sorted probe arrivals ``p_times`` of uniform ``p_size``
+    bytes, runs the exact Lindley fold, and gathers the planner's
+    observables.  Returns ``(dones, exits, new_in_flight, end_free_at,
+    fwd_bytes)`` — probe completion times in probe order, their hop-exit
+    times (``done + prop``), the merged entries still in flight after
+    ``t_end``, the transmitter state, and total bytes forwarded — or None
+    when declining (kernel disabled, probes reordered by jitter, or a
+    failed proof).
     """
-    if not enabled():
+    if not enabled(vector):
         return None
     npr = len(p_times)
     if npr == 0:
         return None
-    nc = cut - ci
+    nc = 0 if ct is None else ct.shape[0]
+    p = np.asarray(p_times, dtype=np.float64)
     if nc == 0:
-        # Pure probe stream: constant rate, constant size.  Lindley
-        # collapses to one of two closed forms whose validity checks
-        # *are* the induction conditions, so no sortedness check, no ρ
-        # gate, and no structure guess — a handful of vector passes at
-        # any load.  (R ≤ C paces out idle gaps: all-idle.  R > C keeps
-        # the transmitter saturated: all-busy.)
-        p = np.asarray(p_times, dtype=np.float64)
+        # Pure probe stream: constant rate, constant size, so the fold
+        # is (almost always) one of the scan's closed forms.
         tx = p_size * 8.0 / cap
-        f = p + tx
-        if free_at <= p_times[0] and bool((f[:-1] <= p[1:]).all()):
-            _count("lindley")
-        else:
-            t0 = p_times[0]
-            chain = np.empty(npr, dtype=np.float64)
-            chain[0] = (free_at if free_at > t0 else t0) + tx
-            chain[1:] = tx
-            np.add.accumulate(chain, out=chain)
-            if npr == 1 or bool((chain[:-1] > p[1:]).all()):
-                f = chain
-                _count("lindley")
-            else:
-                # Mixed idle/busy structure (a jittered or lossy
-                # schedule): the general guess-walk-verify path.
-                f = _fold_arrays(
-                    free_at, p, np.full(npr, p_size, dtype=np.int64), cap
-                )
-                if f is None:
-                    return None
+        folded = _fold(free_at, p, lambda a, b: np.full(b - a, tx))
+        if folded is None:
+            return None
+        _count("lindley")
+        f = folded[1]
         dones = f.tolist()
         # Completion times are monotone on a FIFO link, so the still-in-
         # flight suffix is a single searchsorted cut.
@@ -853,31 +807,11 @@ def plan_hop(
         new_in_flight = [(d, p_size) for d in dones[kidx:]]
         exits = (f + prop).tolist()
         return dones, exits, new_in_flight, dones[-1], p_size * npr
-    if arrays is not None:
-        ct, cs = arrays
-        cross_bytes = int(cs.sum())
-        first_cross = float(ct[0])
-    else:
-        ct = cs = None
-        csl = c_sizes[ci:cut]
-        cross_bytes = sum(csl)
-        first_cross = c_times[ci]
-    # With cross traffic merged in, the general segment walk is the
-    # likely path — only worth it when the hop runs near saturation.
-    first = min(p_times[0], first_cross)
-    span = t_end - first
-    if (cross_bytes + p_size * npr) * 8.0 < MIN_RHO * cap * span:
-        _note_fallback("short-segments")
-        return None
-    p = np.asarray(p_times, dtype=np.float64)
     if npr > 1 and not (p[1:] >= p[:-1]).all():
         # Send jitter reordered the schedule: the scalar walk's fold
         # order is no longer the sorted merge.
         _note_fallback("unsorted-probes")
         return None
-    if ct is None:
-        ct = np.asarray(c_times[ci:cut], dtype=np.float64)
-        cs = np.asarray(csl, dtype=np.int64)
     # Stable positional merge, cross first on exact-time ties
     # (side="right"), mirroring the scalar walk's ``tc > t: break``.
     pos = np.searchsorted(ct, p, side="right") + np.arange(npr)
@@ -890,40 +824,37 @@ def plan_hop(
     mt[~pmask] = ct
     msz[pmask] = p_size
     msz[~pmask] = cs
-    f = _fold_arrays(free_at, mt, msz, cap)
-    if f is None:
+    folded = _fold(free_at, mt, lambda a, b: msz[a:b] * 8.0 / cap)
+    if folded is None:
         return None
+    _count("lindley")
     _count("merge")
+    f = folded[1]
     dones = f[pos]
     exits = (dones + prop).tolist()
-    keep = f > t_end
-    if keep.any():
-        new_in_flight = list(zip(f[keep].tolist(), msz[keep].tolist()))
-    else:
-        new_in_flight = []
+    k = int(np.searchsorted(f, t_end, side="right"))
+    new_in_flight = _in_flight(f[k:], msz[k:])[0]
     return dones.tolist(), exits, new_in_flight, float(f[-1]), int(msz.sum())
 
 
-def masked_pending(owners, sizes, lo, hi, owner):
-    """Count/sum the entries of ``owner`` in ``owners[lo:hi]``.
+def masked_pending(owner_idx, sizes, key, vector: Optional[bool] = None):
+    """Count/sum the entries whose owner index equals ``key``.
 
-    Identity-masked prefix sum over the merged tail (the SIM010
-    masked-prefix-sum shape); returns ``(count, nbytes)`` or None when
-    the kernel declines.
+    ``owner_idx`` / ``sizes`` are the merged queue's pending tail (intp /
+    int64 arrays).  The masked-prefix-sum shape over an owner mask;
+    returns ``(count, nbytes)``, from a scalar loop when the kernels are
+    off.
     """
-    if not enabled():
-        return None
+    if not enabled(vector):
+        n = nbytes = 0
+        for o, s in zip(owner_idx.tolist(), sizes.tolist()):
+            if o == key:
+                n += 1
+                nbytes += s
+        return n, nbytes
     _count("masked_prefix_sum")
-    own = np.empty(hi - lo, dtype=object)
-    for i in range(hi - lo):  # object arrays fill element-wise
-        own[i] = owners[lo + i]
-    mask = own == owner  # no __eq__ on sources: identity semantics
-    count = int(np.count_nonzero(mask))
-    if not count:
-        return 0, 0
-    sz = np.asarray(sizes[lo:hi], dtype=np.int64)
-    total = _masked_prefix_sum_numpy(sz, mask, 0)[-1]
-    return count, int(total)
+    mask = owner_idx == key
+    return int(np.count_nonzero(mask)), int(sizes[mask].sum())
 
 
 def _reset_for_tests() -> None:

@@ -26,8 +26,9 @@ Bulk-eligible cross traffic costs **no per-packet events at all**: sources
 deposit batched absolute-arrival arrays with the link's
 :class:`~repro.netsim.bulkarrivals.CrossAggregator`, and :meth:`Link.sync`
 folds every arrival with timestamp ≤ now into ``_free_at``, the backlog
-ledger, and :class:`LinkStats` — in arrival order, as a tight loop over
-plain floats/ints — before any foreground ``send()``, any
+ledger, and :class:`LinkStats` — in arrival order, with the exact Lindley
+scan of :mod:`repro.netsim.kernels` or a tight loop over plain
+floats/ints — before any foreground ``send()``, any
 ``backlog_bytes()``/``queueing_delay()`` read, and any ``stats`` access.
 Foreground packets therefore observe exactly the queue state the
 per-packet path would have produced.  Installing a ``qdisc``, a
@@ -340,10 +341,9 @@ class Link:
             t_now = self.sim.now if now is None else now
         idx = agg.idx
         times = agg.times
-        n = len(times)
-        if idx >= n or times[idx] > t_now:
+        if idx >= times.shape[0] or times[idx] > t_now:
             return
-        sizes = agg.sizes
+        hi = int(times.searchsorted(t_now, side="right"))
         cap = self.capacity_bps
         cap_sched = self._cap_sched
         free_at = self._free_at
@@ -353,62 +353,51 @@ class Link:
         fwd_bytes = stats.bytes_forwarded
         fwd_pkts = stats.packets_forwarded
         buffer_bytes = self.buffer_bytes
-        if buffer_bytes is None:
+        folded = None
+        if (
+            buffer_bytes is None
+            and hi - idx >= kernels.MIN_BATCH
+            and kernels.enabled(self.sim.vector)
+        ):
+            ts, ss = agg.arrays(idx, hi)
+            if cap_sched is None:
+                folded = kernels.fold_slice(free_at, ts, ss, cap, t_now, True)
+            else:
+                folded = kernels.fold_slice_segmented(
+                    free_at, ts, ss, cap_sched[0], cap_sched[1], t_now, True
+                )
+        if folded is not None:
+            free_at, kept, kept_bytes, kept_fold = folded
+            fwd_bytes += kept_fold
+            fwd_pkts += hi - idx
+            in_flight.extend(kept)
+            backlog += kept_bytes
+        elif buffer_bytes is None:
             # Infinite buffer: nothing can drop, so the per-arrival purge is
             # deferred (purging is monotone), and — because completion times
             # are monotone on a FIFO link — an arrival whose transmission
             # finishes by ``t_now`` would be purged by the trailing pass
             # anyway, so it never enters the in-flight deque at all.
-            folded = None
-            hi = bisect_right(times, t_now, idx, n)
-            if hi - idx >= kernels.MIN_BATCH and kernels.enabled():
-                if cap_sched is None:
-                    folded = kernels.fold_slice(
-                        free_at, times, sizes, idx, hi, cap, t_now,
-                        agg.arrays(idx, hi),
-                    )
-                else:
-                    folded = kernels.fold_slice_segmented(
-                        free_at, times, sizes, idx, hi,
-                        cap_sched[0], cap_sched[1], t_now,
-                        agg.arrays(idx, hi),
-                    )
-            if folded is not None:
-                free_at, kept, kept_bytes, kept_fold = folded
-                fwd_bytes += kept_fold
-                fwd_pkts += hi - idx
-                in_flight.extend(kept)
-                backlog += kept_bytes
-                idx = hi
-            elif cap_sched is None:
-                while idx < n:  # simlint: vector-safe
-                    t = times[idx]
-                    if t > t_now:
-                        break
-                    size = sizes[idx]
+            ts = times[idx:hi].tolist()
+            ss = agg.sizes[idx:hi].tolist()
+            fwd_pkts += hi - idx
+            if cap_sched is None:
+                for t, size in zip(ts, ss):  # simlint: vector-safe
                     start = free_at if free_at > t else t
                     free_at = start + size * 8.0 / cap
                     fwd_bytes += size
-                    fwd_pkts += 1
                     if free_at > t_now:
                         in_flight.append((free_at, size))
                         backlog += size
-                    idx += 1
             else:
                 bounds, caps = cap_sched
-                while idx < n:  # simlint: vector-safe
-                    t = times[idx]
-                    if t > t_now:
-                        break
-                    size = sizes[idx]
+                for t, size in zip(ts, ss):  # simlint: vector-safe
                     start = free_at if free_at > t else t
                     free_at = start + size * 8.0 / caps[bisect_right(bounds, start)]
                     fwd_bytes += size
-                    fwd_pkts += 1
                     if free_at > t_now:
                         in_flight.append((free_at, size))
                         backlog += size
-                    idx += 1
         else:
             # Drop-tail decisions replay deterministically in merge order:
             # the backlog each arrival tests is the one the per-packet path
@@ -417,11 +406,9 @@ class Link:
                 bounds, caps = cap_sched
             drop_bytes = stats.bytes_dropped
             drop_pkts = stats.packets_dropped
-            while idx < n:
-                t = times[idx]
-                if t > t_now:
-                    break
-                size = sizes[idx]
+            ts = times[idx:hi].tolist()
+            ss = agg.sizes[idx:hi].tolist()
+            for t, size in zip(ts, ss):
                 while in_flight and in_flight[0][0] <= t:
                     backlog -= in_flight.popleft()[1]
                 if backlog + size > buffer_bytes:
@@ -436,12 +423,11 @@ class Link:
                     backlog += size
                     fwd_bytes += size
                     fwd_pkts += 1
-                idx += 1
             stats.bytes_dropped = drop_bytes
             stats.packets_dropped = drop_pkts
         while in_flight and in_flight[0][0] <= t_now:
             backlog -= in_flight.popleft()[1]
-        agg.idx = idx
+        agg.idx = hi
         self._free_at = free_at
         self._backlog_bytes = backlog
         stats.bytes_forwarded = fwd_bytes
@@ -465,15 +451,17 @@ class Link:
         """
         agenda = self._agenda
         agg = self._agg
+        c_times = c_sizes = ()
+        ci = 0
+        cn = 0
         if agg is not None:
-            c_times = agg.times
-            c_sizes = agg.sizes
-            ci = agg.idx
-            cn = len(c_times)
-        else:
-            c_times = c_sizes = ()
-            ci = 0
-            cn = 0
+            ci0 = agg.idx
+            times = agg.times
+            if ci0 < times.shape[0] and times[ci0] <= t_now:
+                # Cross entries due by ``t_now``, walked as plain lists.
+                cn = int(times.searchsorted(t_now, side="right")) - ci0
+                c_times = times[ci0:ci0 + cn].tolist()
+                c_sizes = agg.sizes[ci0:ci0 + cn].tolist()
         a_pairs = agenda.pairs
         ai = agenda.idx
         an = len(a_pairs)
@@ -485,8 +473,7 @@ class Link:
             a_t0 = a_pairs[ai][0] if tupled else a_pairs[ai]
         else:
             a_t0 = t_now
-        cross_due = ci < cn and c_times[ci] <= t_now
-        if not cross_due and (ai >= an or a_t0 > t_now):
+        if not cn and (ai >= an or a_t0 > t_now):
             return
         a_accepts = agenda.accepts
         a_dones = agenda.dones
@@ -562,7 +549,7 @@ class Link:
         stats.bytes_dropped = drop_bytes
         stats.packets_dropped = drop_pkts
         if agg is not None:
-            agg.idx = ci
+            agg.idx = ci0 + ci
             agg.compact()
         agenda.idx = ai
         if ai >= an and not agenda.persistent:

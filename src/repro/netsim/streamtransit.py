@@ -82,6 +82,14 @@ STREAM_FALLBACK_REASONS: tuple[str, ...] = (
 _INF = float("inf")
 
 
+def _due_lists(agg, lo: int, n: int) -> tuple[list, list]:
+    """The ``n`` merged cross entries from index ``lo`` as plain lists
+    (times, sizes): the scalar walks index Python floats, not arrays."""
+    if agg is None or not n:
+        return [], []
+    return agg.times[lo:lo + n].tolist(), agg.sizes[lo:lo + n].tolist()
+
+
 class HopAgenda:
     """One hop's queue of planned (not yet folded) probe admissions.
 
@@ -422,15 +430,14 @@ def plan_stream(
         t_end = cur_t[-1]
         if agg is not None:
             agg.extend_until(t_end)
-            c_times = agg.times
-            c_sizes = agg.sizes
-            ci = agg.idx
-            cn = len(c_times)
+            ci_start = agg.idx
+            # The cross entries due by the hop's last probe arrival; the
+            # walks below index these lists from 0.
+            cn = int(agg.times[ci_start:].searchsorted(t_end, side="right"))
         else:
-            c_times = c_sizes = ()
-            ci = 0
+            ci_start = 0
             cn = 0
-        ci_start = ci
+        ci = 0
         cap = link.capacity_bps
         cap_sched = link._cap_sched
         if cap_sched is not None:
@@ -456,17 +463,19 @@ def plan_stream(
             # ``t_end`` never enter the end-state deque at all.
             a_accepts = None
             planned = None
-            cut = bisect_right(c_times, t_end, ci, cn) if cn else ci
             big_enough = (
-                (cut - ci) + len(cur_t) >= kernels.MIN_BATCH
-                if cut > ci
+                cn + len(cur_t) >= kernels.MIN_BATCH
+                if cn
                 else len(cur_t) >= kernels.MIN_PROBES
             )
-            if cap_sched is None and big_enough and kernels.enabled():
+            if cap_sched is None and big_enough and kernels.enabled(sim.vector):
+                ct, cs = (
+                    agg.arrays(ci_start, ci_start + cn)
+                    if agg is not None
+                    else (None, None)
+                )
                 planned = kernels.plan_hop(
-                    free_at, c_times, c_sizes, ci, cut,
-                    cur_t, size, cap, t_end, prop,
-                    agg.arrays(ci, cut) if agg is not None else None,
+                    free_at, ct, cs, cur_t, size, cap, t_end, prop, True
                 )
             if planned is not None:
                 a_dones, nxt_t, new_in_flight, free_at, merged_bytes = planned
@@ -474,9 +483,9 @@ def plan_stream(
                 end_in_flight.extend(new_in_flight)
                 nxt_i = cur_i
                 fwd_bytes += merged_bytes
-                fwd_pkts += (cut - ci) + len(cur_t)
-                ci = cut
-            elif cut == ci:
+                fwd_pkts += cn + len(cur_t)
+                ci = cn
+            elif not cn:
                 # No cross arrivals due on this hop: only the probes'
                 # own back-to-back spacing matters, so the interleaved
                 # walk collapses to the bare Lindley chain and the index
@@ -503,6 +512,7 @@ def plan_stream(
                 fwd_bytes += size * k
                 fwd_pkts += k
             else:
+                c_times, c_sizes = _due_lists(agg, ci_start, cn)
                 end_in_flight = [e for e in link._in_flight if e[0] > t_end]
                 eif_append = end_in_flight.append
                 dones_append = a_dones.append
@@ -546,6 +556,7 @@ def plan_stream(
             a_accepts = []
             backlog = link._backlog_bytes
             in_flight = deque(link._in_flight)
+            c_times, c_sizes = _due_lists(agg, ci_start, cn)
             for t, i in zip(cur_t, cur_i):
                 while ci < cn:
                     tc = c_times[ci]
@@ -606,7 +617,7 @@ def plan_stream(
         agenda._exit_i = nxt_i
         agenda.t_end = t_end
         agenda.ci_start = ci_start
-        agenda.ci_end = ci
+        agenda.ci_end = ci_start + ci
         agenda.end_free_at = free_at
         agenda.end_backlog = end_backlog
         agenda.end_in_flight = tuple(end_in_flight)
@@ -682,12 +693,14 @@ def _shadow_verify(channel: "ProbeChannel", plan: StreamPlan) -> None:
         if not arrivals:
             break
         agg = link._agg
+        horizon = arrivals[-1][0]
         if agg is not None:
-            cross = zip(agg.times[agg.idx:], agg.sizes[agg.idx:])
+            lo = agg.idx
+            n_due = int(agg.times[lo:].searchsorted(horizon, side="right"))
+            cross = zip(*_due_lists(agg, lo, n_due))
         else:
             cross = ()
-        horizon = arrivals[-1][0]
-        tagged_cross = ((t, 0, None, s) for t, s in cross if t <= horizon)
+        tagged_cross = ((t, 0, None, s) for t, s in cross)
         tagged_probe = ((t, 1, i, size) for t, i in arrivals)
         free_at = link._free_at
         backlog = link._backlog_bytes

@@ -44,6 +44,21 @@ class TestPacketMix:
         frac_40 = np.mean(samples == 40)
         assert abs(frac_40 - 0.4) < 0.02
 
+    @pytest.mark.parametrize(
+        "pairs", [PAPER_PACKET_MIX, ((1000, 1.0),), ((64, 0.3), (576, 0.25), (1500, 0.45))]
+    )
+    def test_sample_equals_generator_choice(self, pairs):
+        # Same draws, same values, same stream position as
+        # Generator.choice: seeded sample paths must not move.
+        mix = PacketMix(pairs)
+        for seed in range(20):
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for n in (1, 7, 512):
+                got = mix.sample(ours, n)
+                want = ref.choice(mix.sizes, size=n, p=mix.probs)
+                assert got.dtype == want.dtype and got.tolist() == want.tolist()
+            assert ours.random() == ref.random()
+
     def test_constant_mix(self):
         mix = PacketMix.constant(1000)
         assert mix.mean_size == 1000

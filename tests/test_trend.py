@@ -43,6 +43,28 @@ class TestMedianGroups:
         with pytest.raises(ValueError):
             median_groups([1.0])
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        k=st.integers(min_value=2, max_value=400),
+        n_groups=st.one_of(st.none(), st.integers(min_value=2, max_value=450)),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        decimals=st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
+    )
+    def test_equals_per_group_loop(self, k, n_groups, seed, decimals):
+        owds = np.random.default_rng(seed).normal(0.0, 1e-3, k)
+        if decimals is not None:
+            owds = np.round(owds, decimals)  # ties inside groups
+        want_groups = n_groups
+        if want_groups is None:
+            want_groups = max(2, int(np.sqrt(k)))
+        want_groups = min(want_groups, k)
+        size = k // want_groups
+        want = [
+            np.median(owds[g * size:(g + 1) * size if g < want_groups - 1 else k])
+            for g in range(want_groups)
+        ]
+        assert median_groups(owds, n_groups).tolist() == want
+
 
 class TestPCT:
     def test_strictly_increasing_gives_one(self):
