@@ -171,6 +171,15 @@ _STATE_MOVER_METHODS = frozenset({
 })
 
 
+def _attr_calls(node: ast.AST) -> set:
+    """Attribute names called anywhere under ``node`` (``x.f()`` -> ``f``)."""
+    return {
+        n.func.attr if isinstance(n.func, ast.Attribute) else None
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call)
+    }
+
+
 @dataclass
 class _Impurity:
     line: int
@@ -303,11 +312,12 @@ class HookPurityChecker:
                 setter = self._find_setter(link, hook)
                 if setter is None:
                     continue  # property removed entirely: nothing to guard
-                body_calls = {
-                    n.func.attr if isinstance(n.func, ast.Attribute) else None
-                    for n in ast.walk(setter.node)
-                    if isinstance(n, ast.Call)
-                }
+                body_calls = _attr_calls(setter.node)
+                # A guard may live in a Link helper the setter calls.
+                for name in list(body_calls):
+                    helper = link.functions.get(f"Link.{name}")
+                    if helper is not None:
+                        body_calls |= _attr_calls(helper.node)
                 missing = [
                     want
                     for want in ("_decommission", "revoke")

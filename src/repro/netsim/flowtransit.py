@@ -26,13 +26,15 @@ Correctness rests on one invariant — the **cap-bounded walk**:
   event, the active ``run(until=...)`` bound, now + horizon)``.  No real
   callback can therefore observe — or interfere with — virtual state
   that lies in its own future; there is no speculation and no rollback.
-* Each hop carries a *persistent* :class:`~repro.netsim.streamtransit.HopAgenda`
-  recording every virtual admission (time, size, accept, done).  At any
-  real sync point — a foreign ``Link.send`` (ping, per-packet cross), a
-  monitor's ``stats`` read, a backlog query — :meth:`Link._sync_fg`
-  interleaves those records with the cross arrays, so real link state,
-  ``LinkStats`` and drop decisions are bit-identical to the per-packet
-  path at every observation instant.
+* While attached, the domain *owns* its links' queue state (it is each
+  link's ``_owner``): the walk admits straight into the link's in-flight
+  deque and ``LinkStats``, folds the cross arrivals it passes exactly
+  once, and writes the transmitter clock, backlog and cross cursor back
+  at the end of every round.  Every walked admission lies before the
+  next real event, so at any real sync point — a foreign ``Link.send``
+  (ping, per-packet cross), a monitor's ``stats`` read, a backlog
+  query — the link already holds the per-packet path's state, and the
+  ordinary cross-only ``Link.sync`` brings it to the present.
 * Flow state (cwnd, RTT estimators, receiver buffers) is mutated
   directly on the real ``TCPSender``/``TCPReceiver`` objects while their
   ``sim``/``network`` attributes are shimmed; because of the cap
@@ -53,8 +55,8 @@ and a mid-flight ineligibility (link decommission, tracer attach)
 an ordinary engine event at its already-committed time, flows re-claim
 the per-packet path, adopted streams rewind their unsent suffix — so the
 sample path equals a never-planned run.  ``Simulator(sanitize=True)``
-shadow-replays every round's admissions per hop and raises on any
-divergence.
+replays every round's admission log per hop from the round-start
+snapshot and raises on any divergence.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from __future__ import annotations
 import heapq
 import warnings
 from collections import deque
+from operator import attrgetter
 from typing import TYPE_CHECKING, Optional
 
 from ..core.probing import PacketRecord
@@ -69,7 +72,7 @@ from . import kernels
 from .engine import SimulationError
 from .fastpath import resolve_fast
 from .packet import Packet, PacketKind
-from .streamtransit import HopAgenda, StreamPlan, _impure, plan_stream
+from .streamtransit import StreamPlan, _impure, plan_stream
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..transport.probe import ProbeChannel, _StreamRun
@@ -88,6 +91,10 @@ FLOW_FALLBACK_REASONS: tuple[str, ...] = (
 )
 
 _INF = float("inf")
+
+_stat_counts = attrgetter(
+    "bytes_forwarded", "packets_forwarded", "bytes_dropped", "packets_dropped"
+)
 
 # One warning per process: a full tracer silently costing the flow-transit
 # fast path is the single most surprising perf cliff in a traced run.
@@ -123,10 +130,6 @@ K_TIMER = 3  # (t, q, K_TIMER, vt): shimmed sim.schedule() callback
 K_XMIT = 4  # (t, q, K_XMIT, links, size, tail): out-of-walk send at t
 K_SSEND = 5  # (t, q, K_SSEND, ss, i): probe-stream send of schedule index i
 K_SDELIV = 6  # (t, q, K_SDELIV, ss, i): probe packet i delivery at receiver
-
-# transport.tcp imports this module, so its segment bookkeeping class is
-# resolved lazily on first attach.
-_SegmentInfo = None
 
 
 class _VTimer:
@@ -206,37 +209,20 @@ class _FlowVNet:
         self.domain.network.release_per_packet()
 
 
-class _AgendaHook:
-    """``plan`` stand-in on the domain's persistent hop agendas.
-
-    ``Link.send``/``CrossAggregator.register`` call ``plan.revoke(...)``
-    at the interference chokepoints.  For the domain, a foreign send or a
-    source registration is *not* fatal — all recorded admissions lie at
-    or before now (cap invariant), so folding them (``link.sync()``)
-    re-establishes exactness and the walk continues next round.  Only a
-    link decommission dissolves the domain.
-    """
-
-    __slots__ = ("domain", "link")
-
-    def __init__(self, domain, link):
-        self.domain = domain
-        self.link = link
-
-    def revoke(self, reason: str) -> None:
-        if reason == "link-decommission":
-            self.domain.dissolve(reason)
-        else:  # "foreign-send" / "source-registered": fold and carry on
-            self.link.sync()
-
-
 class _VLink:
-    """Per-link virtual queue state, refreshed from the real link at the
-    start of every round (after a full ``sync()``)."""
+    """One link's queue state as the walk sees it.
+
+    ``infl`` *is* the link's ``_in_flight`` deque and admissions add to
+    its ``LinkStats`` directly; the transmitter clock, backlog and cross
+    cursor are cached here for the walk — re-read at every round's start
+    (after ``link.sync()``) and written back at its end.  ``log`` holds
+    the round's ``(t, size, accepted, done)`` admissions under
+    ``Simulator(sanitize=True)`` only.
+    """
 
     __slots__ = (
         "link",
-        "agenda",
+        "stats",
         "cap",
         "prop",
         "buffer_bytes",
@@ -245,21 +231,14 @@ class _VLink:
         "backlog",
         "infl",
         "vci",
-        # cached agenda arrays (compaction dels in place, so these stay valid)
-        "ap",
-        "aac",
-        "ad",
-        "asz",
+        "log",
     )
 
-    def __init__(self, link, agenda):
+    def __init__(self, link):
         self.link = link
-        self.agenda = agenda
-        self.infl = deque()
-        self.ap = agenda.pairs
-        self.aac = agenda.accepts
-        self.ad = agenda.dones
-        self.asz = agenda.sizes
+        self.stats = link._stats
+        self.infl = link._in_flight
+        self.log = None
 
 
 class _FlowState:
@@ -312,8 +291,9 @@ class _DomainStreamPlan(StreamPlan):
 
     Deliveries are produced by the domain walk, so the plan itself holds
     no hop agendas; revocation (reachable only through defensive paths —
-    the chokepoints talk to the domain's own hooks) dissolves the whole
-    domain, which performs this plan's rewind along with everything else.
+    the links' chokepoints talk to the domain as their ``_owner``)
+    dissolves the whole domain, which performs this plan's rewind along
+    with everything else.
     """
 
     __slots__ = ("domain",)
@@ -364,21 +344,14 @@ class FlowTransitDomain:
         self._walking = False
         self._round_call = None
         self._pmin = _INF
-        # One persistent agenda per distinct link (forward and reverse may
-        # share hops in exotic topologies; dedupe preserves order).
+        # One virtual link per distinct link (forward and reverse may share
+        # hops in exotic topologies; dedupe preserves order).
         links = tuple(dict.fromkeys((*network.forward_links, *network.reverse_links)))
         self.links = links
         self._vl = {}
         for link in links:
-            hook = _AgendaHook(self, link)
-            proto = Packet(40, flow_id="flow-transit", kind=PacketKind.DATA)
-            agenda = HopAgenda(
-                link, [], [], [], [], 0, proto, hook, sizes=[], persistent=True
-            )
-            agenda.t_end = _INF
-            agenda.ci_start = 0
-            link._agenda = agenda
-            self._vl[link] = _VLink(link, agenda)
+            link._owner = self
+            self._vl[link] = _VLink(link)
 
     # ------------------------------------------------------------------
     # Virtual scheduling
@@ -426,9 +399,9 @@ class FlowTransitDomain:
     # The Lindley admission core
     # ------------------------------------------------------------------
     def _fold_cross(self, vl: _VLink, t: float) -> None:
-        """Fold cross arrivals <= ``t`` into ``vl``'s virtual server state,
-        winning exact ties, with the same per-arrival purge ``_sync_fg``
-        performs.  Cross drops accrue stats only at the real fold."""
+        """Fold cross arrivals <= ``t`` into ``vl``'s queue state, winning
+        exact ties, with the same per-arrival purge, drop-tail decision
+        and stats ``Link.sync`` applies."""
         agg = vl.agg
         if agg._horizon < t:
             agg.extend_until(t)
@@ -440,6 +413,7 @@ class FlowTransitDomain:
         free_at = vl.free_at
         backlog = vl.backlog
         infl = vl.infl
+        stats = vl.stats
         cap = vl.cap
         buffer_bytes = vl.buffer_bytes
         if (
@@ -456,24 +430,34 @@ class FlowTransitDomain:
             ts, ss = agg.arrays(ci, cut)
             folded = kernels.fold_slice(free_at, ts, ss, cap, tc_last, True)
             if folded is not None:
-                free_at, kept, kept_bytes, _fold_bytes = folded
+                free_at, kept, kept_bytes, fold_bytes = folded
                 while infl and infl[0][0] <= tc_last:
                     backlog -= infl.popleft()[1]
                 infl.extend(kept)
+                stats.bytes_forwarded += fold_bytes
+                stats.packets_forwarded += cut - ci
                 vl.vci = cut
                 vl.free_at = free_at
                 vl.backlog = backlog + kept_bytes
                 return
+        fwd_bytes = drop_bytes = drop_pkts = 0
         for tc, sz in zip(times[ci:cut].tolist(), agg.sizes[ci:cut].tolist()):
             while infl and infl[0][0] <= tc:
                 backlog -= infl.popleft()[1]
             if buffer_bytes is not None and backlog + sz > buffer_bytes:
-                pass  # cross drop: stats accrue at the real fold
+                drop_bytes += sz
+                drop_pkts += 1
             else:
                 start = free_at if free_at > tc else tc
                 free_at = start + sz * 8.0 / cap
                 infl.append((free_at, sz))
                 backlog += sz
+                fwd_bytes += sz
+        stats.bytes_forwarded += fwd_bytes
+        stats.packets_forwarded += cut - ci - drop_pkts
+        if drop_pkts:
+            stats.bytes_dropped += drop_bytes
+            stats.packets_dropped += drop_pkts
         vl.vci = cut
         vl.free_at = free_at
         vl.backlog = backlog
@@ -482,35 +466,35 @@ class FlowTransitDomain:
         """Admit ``size`` bytes at ``vl`` at time ``t``; return the
         transmission-complete time, or ``None`` on a drop-tail drop.
 
-        Bit-identical mirror of the accounting ``Link._sync_fg`` performs
-        when it later folds this recorded admission: cross arrivals <= t
-        first (winning exact ties), per-arrival purges, then the
-        foreground admission itself.
+        The accounting ``Link.send`` performs for a packet sent at ``t``:
+        cross arrivals <= t first (winning exact ties), the in-flight
+        purge, the drop-tail decision, then the admission and its stats.
         """
         if vl.agg is not None:
             self._fold_cross(vl, t)
-        free_at = vl.free_at
         backlog = vl.backlog
         infl = vl.infl
-        cap = vl.cap
-        buffer_bytes = vl.buffer_bytes
         while infl and infl[0][0] <= t:
             backlog -= infl.popleft()[1]
-        vl.ap.append(t)  # flow agendas record bare arrival times
-        vl.asz.append(size)
+        stats = vl.stats
+        buffer_bytes = vl.buffer_bytes
         if buffer_bytes is not None and backlog + size > buffer_bytes:
-            vl.aac.append(False)
-            vl.ad.append(0.0)
-            vl.free_at = free_at
             vl.backlog = backlog
+            stats.bytes_dropped += size
+            stats.packets_dropped += 1
+            if vl.log is not None:
+                vl.log.append((t, size, False, 0.0))
             return None
+        free_at = vl.free_at
         start = free_at if free_at > t else t
-        done = start + size * 8.0 / cap
-        vl.aac.append(True)
-        vl.ad.append(done)
+        done = start + size * 8.0 / vl.cap
         infl.append((done, size))
         vl.free_at = done
         vl.backlog = backlog + size
+        stats.bytes_forwarded += size
+        stats.packets_forwarded += 1
+        if vl.log is not None:
+            vl.log.append((t, size, True, done))
         return done
 
     def _hop_admit(self, vlinks, hop: int, t: float, size: int, tail) -> None:
@@ -527,7 +511,7 @@ class FlowTransitDomain:
             heapq.heappush(self._vheap, (t_out, q) + tail)
 
     # ------------------------------------------------------------------
-    # The round: snapshot, walk, reschedule
+    # The round: read link state, walk, write it back, reschedule
     # ------------------------------------------------------------------
     def _round(self) -> None:
         self._round_call = None
@@ -571,27 +555,31 @@ class FlowTransitDomain:
         for link in self.links:
             link.sync()
             vl = vls[link]
-            ag = vl.agenda
-            if ag.idx > 4096:
-                del ag.pairs[: ag.idx]
-                del ag.accepts[: ag.idx]
-                del ag.dones[: ag.idx]
-                del ag.sizes[: ag.idx]
-                ag.idx = 0
             vl.cap = link.capacity_bps
             vl.prop = link.prop_delay
             vl.buffer_bytes = link.buffer_bytes
             vl.free_at = link._free_at
             vl.backlog = link._backlog_bytes
-            infl = vl.infl
-            infl.clear()
-            infl.extend(link._in_flight)
             agg = link._agg
             vl.agg = agg
-            vl.vci = agg.idx if agg is not None else 0
+            if agg is not None:
+                # The walk's folds advance the cursor without compacting
+                # (the shadow check below slices by index), so trim here.
+                agg.compact()
+                vl.vci = agg.idx
+            else:
+                vl.vci = 0
             if sanitize:
+                vl.log = []
                 snaps.append(
-                    (vl, vl.free_at, vl.backlog, tuple(infl), vl.vci, len(ag.pairs))
+                    (
+                        vl,
+                        vl.free_at,
+                        vl.backlog,
+                        tuple(vl.infl),
+                        vl.vci,
+                        _stat_counts(vl.stats),
+                    )
                 )
         self._walking = True
         self._vnow = now
@@ -639,6 +627,12 @@ class FlowTransitDomain:
             if self._pmin < _INF:
                 self._flush_pending()
             self._walking = False
+            for vl in vls.values():
+                link = vl.link
+                link._free_at = vl.free_at
+                link._backlog_bytes = vl.backlog
+                if vl.agg is not None:
+                    vl.agg.idx = vl.vci
         if sanitize:
             self._verify_round(snaps)
         if not self.alive:
@@ -694,9 +688,9 @@ class FlowTransitDomain:
                 break
             if seq0 >= ack:
                 break
-            info = infl.pop(seq0)
-            if not info.retransmitted:
-                sample = t - info.send_time
+            sent_at = infl.pop(seq0)
+            if sent_at is not None:  # Karn: retransmitted segments map to None
+                sample = t - sent_at
                 base = snd.base_rtt
                 if base is None or sample < base:
                     snd.base_rtt = sample
@@ -724,7 +718,8 @@ class FlowTransitDomain:
         else:
             cwnd += float(mss) * mss / cwnd
         snd.cwnd = cwnd
-        snd.cwnd_log.append((t, cwnd))
+        snd._cwnd_t.append(t)
+        snd._cwnd_v.append(cwnd)
         # _restart_rto: flight measured before the refill below.
         vt = snd._rto_timer
         vheap = self._vheap
@@ -781,10 +776,8 @@ class FlowTransitDomain:
             cap = vl0.cap
             buffer_bytes = vl0.buffer_bytes
             prop = vl0.prop
-            ap = vl0.ap
-            asz = vl0.asz
-            aac = vl0.aac
-            ad = vl0.ad
+            log = vl0.log
+            fwd_bytes = fwd_pkts = drop_bytes = drop_pkts = 0
         while snd_nxt - ack + mss <= window:
             if total is not None:
                 remaining = total - snd_nxt
@@ -794,32 +787,28 @@ class FlowTransitDomain:
             else:
                 length = mss
             if snd_nxt < high:  # retransmission (go-back-N refill)
-                info = infl.get(snd_nxt)
-                if info is None:
-                    info = _SegmentInfo(snd_nxt, length, t)
-                    infl[snd_nxt] = info
-                else:
-                    info.send_time = t
-                info.retransmitted = True
+                infl[snd_nxt] = None
                 snd.retransmits += 1
             else:  # fresh segment: cannot already be tracked
-                infl[snd_nxt] = _SegmentInfo(snd_nxt, length, t)
+                infl[snd_nxt] = t
             sent += 1
             if single:
                 size = length + hdr
-                ap.append(t)  # flow agendas record bare arrival times
-                asz.append(size)
                 if buffer_bytes is not None and backlog + size > buffer_bytes:
-                    aac.append(False)
-                    ad.append(0.0)
+                    drop_bytes += size
+                    drop_pkts += 1
+                    if log is not None:
+                        log.append((t, size, False, 0.0))
                 else:
                     start = free_at if free_at > t else t
                     done = start + size * 8.0 / cap
-                    aac.append(True)
-                    ad.append(done)
                     l_infl.append((done, size))
                     backlog += size
                     free_at = done
+                    fwd_bytes += size
+                    fwd_pkts += 1
+                    if log is not None:
+                        log.append((t, size, True, done))
                     vseq += 1
                     heappush(vheap, (done + prop, vseq, K_DATA, fs, snd_nxt, length))
             else:
@@ -840,6 +829,12 @@ class FlowTransitDomain:
         if single:
             vl0.free_at = free_at
             vl0.backlog = backlog
+            stats = vl0.stats
+            stats.bytes_forwarded += fwd_bytes
+            stats.packets_forwarded += fwd_pkts
+            if drop_pkts:
+                stats.bytes_dropped += drop_bytes
+                stats.packets_dropped += drop_pkts
         self._vseq = vseq
         if sent:
             snd.segments_sent += sent
@@ -882,7 +877,8 @@ class FlowTransitDomain:
                 while rcv_nxt in oob:
                     rcv_nxt += oob.pop(rcv_nxt)
             rcv.rcv_nxt = rcv_nxt
-            rcv.delivered_log.append((t, rcv_nxt))
+            rcv._log_t.append(t)
+            rcv._log_bytes.append(rcv_nxt)
         rcv.acks_sent += 1
         revv = fs.revv
         if len(revv) == 1:
@@ -895,22 +891,25 @@ class FlowTransitDomain:
             while infl0 and infl0[0][0] <= t:
                 backlog -= infl0.popleft()[1]
             size = fs.ack_size
-            vl0.ap.append(t)  # flow agendas record bare arrival times
-            vl0.asz.append(size)
+            stats = vl0.stats
             buffer_bytes = vl0.buffer_bytes
             if buffer_bytes is not None and backlog + size > buffer_bytes:
-                vl0.aac.append(False)
-                vl0.ad.append(0.0)
                 vl0.backlog = backlog
+                stats.bytes_dropped += size
+                stats.packets_dropped += 1
+                if vl0.log is not None:
+                    vl0.log.append((t, size, False, 0.0))
             else:
                 free_at = vl0.free_at
                 start = free_at if free_at > t else t
                 done = start + size * 8.0 / vl0.cap
-                vl0.aac.append(True)
-                vl0.ad.append(done)
                 infl0.append((done, size))
                 vl0.backlog = backlog + size
                 vl0.free_at = done
+                stats.bytes_forwarded += size
+                stats.packets_forwarded += 1
+                if vl0.log is not None:
+                    vl0.log.append((t, size, True, done))
                 self._vseq = q = self._vseq + 1
                 heapq.heappush(
                     self._vheap, (done + vl0.prop, q, K_ACK, fs, rcv_nxt)
@@ -925,7 +924,7 @@ class FlowTransitDomain:
         """Carry one probe stream inside the domain walk.
 
         Called from :func:`~repro.netsim.streamtransit.plan_stream` when a
-        domain owns this network's hop agendas.  Returns the familiar
+        domain owns this network's links.  Returns the familiar
         ``(plan, reason)`` pair.
         """
         sim = self.sim
@@ -1211,9 +1210,7 @@ class FlowTransitDomain:
             rc.cancel()
             self._round_call = None
         for link in self.links:
-            if link._agenda is not None:
-                link.sync()
-                link._agenda = None
+            link._owner = None
         vheap = self._vheap
         drained = sorted(vheap)
         vheap.clear()  # in place: walk-loop aliases must observe the drain
@@ -1264,13 +1261,13 @@ class FlowTransitDomain:
     # Sanitize-mode shadow verification
     # ------------------------------------------------------------------
     def _verify_round(self, snaps) -> None:
-        """Independently replay this round's admissions per hop and raise
-        :class:`SimulationError` on any divergence from the recorded
-        agenda entries (the values real folds will later consume)."""
-        for vl, free_at, backlog, infl0, vci0, a0 in snaps:
-            ag = vl.agenda
-            an = len(ag.pairs)
-            if an == a0 and vl.vci == vci0:
+        """Independently replay this round's admission log per hop from
+        the round-start snapshot and raise :class:`SimulationError` on any
+        divergence from what the walk admitted, dropped and counted."""
+        for vl, free_at, backlog, infl0, vci0, stats0 in snaps:
+            log = vl.log
+            vl.log = None
+            if not log and vl.vci == vci0:
                 continue
             agg = vl.agg
             if agg is not None:
@@ -1279,42 +1276,54 @@ class FlowTransitDomain:
             else:
                 cross_t = cross_s = []
             cross = [(tc, 0, k) for k, tc in enumerate(cross_t)]
-            fg = [(ag.pairs[i], 1, i) for i in range(a0, an)]
+            fg = [(entry[0], 1, i) for i, entry in enumerate(log)]
             infl = deque(infl0)
             cap = vl.cap
             buffer_bytes = vl.buffer_bytes
             link_name = vl.link.name
+            fwd_bytes, fwd_pkts, drop_bytes, drop_pkts = stats0
             for t, tag, i in heapq.merge(cross, fg):
                 while infl and infl[0][0] <= t:
                     backlog -= infl.popleft()[1]
-                sz = cross_s[i] if tag == 0 else ag.sizes[i]
+                sz = cross_s[i] if tag == 0 else log[i][1]
                 if buffer_bytes is not None and backlog + sz > buffer_bytes:
-                    if tag == 1 and ag.accepts[i]:
+                    if tag == 1 and log[i][2]:
                         raise SimulationError(
                             f"flow-transit shadow check: hop {link_name!r} "
                             f"dropped admission {i} but the walk accepted it"
                         )
+                    drop_bytes += sz
+                    drop_pkts += 1
                     continue
                 start = free_at if free_at > t else t
                 free_at = start + sz * 8.0 / cap
                 infl.append((free_at, sz))
                 backlog += sz
+                fwd_bytes += sz
+                fwd_pkts += 1
                 if tag == 1:
-                    if not ag.accepts[i]:
+                    if not log[i][2]:
                         raise SimulationError(
                             f"flow-transit shadow check: hop {link_name!r} "
                             f"accepted admission {i} but the walk dropped it"
                         )
-                    if ag.dones[i] != free_at:  # simlint: disable=SIM003 -- bit-identity shadow check
+                    if log[i][3] != free_at:  # simlint: disable=SIM003 -- bit-identity shadow check
                         raise SimulationError(
                             f"flow-transit shadow check: hop {link_name!r} "
                             f"admission {i} done {free_at!r} != recorded "
-                            f"{ag.dones[i]!r}"
+                            f"{log[i][3]!r}"
                         )
             if free_at != vl.free_at:  # simlint: disable=SIM003 -- bit-identity shadow check
                 raise SimulationError(
                     f"flow-transit shadow check: hop {link_name!r} end "
                     f"free_at {free_at!r} != walked {vl.free_at!r}"
+                )
+            counted = _stat_counts(vl.stats)
+            if counted != (fwd_bytes, fwd_pkts, drop_bytes, drop_pkts):
+                raise SimulationError(
+                    f"flow-transit shadow check: hop {link_name!r} stats "
+                    f"{counted!r} != replayed "
+                    f"{(fwd_bytes, fwd_pkts, drop_bytes, drop_pkts)!r}"
                 )
 
 
@@ -1356,11 +1365,6 @@ def try_attach_flow(sender: "TCPSender") -> bool:
             # exactly) is the right answer.
             _note_flow_fallback(network, sim, "capacity-schedule")
             return False
-    global _SegmentInfo
-    if _SegmentInfo is None:
-        from ..transport.tcp import _SegmentInfo as seg
-
-        _SegmentInfo = seg
     prev = network._plan
     if prev is not None:
         # A solo stream plan owns some hop agendas; fold/revoke it first

@@ -114,6 +114,7 @@ class Link:
         "_qdisc",
         "_agg",
         "_agenda",
+        "_owner",
         "_cap_sched",
         "_free_at",
         "_in_flight",
@@ -148,6 +149,10 @@ class Link:
         self._qdisc = qdisc
         self._agg = None  # CrossAggregator once bulk sources attach
         self._agenda = None  # HopAgenda while a planned probe stream transits
+        # FlowTransitDomain while one owns this link's queue state: its
+        # walk admits straight into ``_in_flight``/``_stats`` and writes
+        # ``_free_at``/``_backlog_bytes`` back at every round's end.
+        self._owner = None
         self._cap_sched = None  # (boundaries, rates) piecewise-constant schedule
         self._free_at = 0.0  # when the transmitter becomes idle
         self._in_flight: deque = deque()  # (tx_done_time, size_bytes)
@@ -172,8 +177,7 @@ class Link:
 
     @deliver.setter
     def deliver(self, fn: Optional[Callable[[Packet], None]]) -> None:
-        if self._agenda is not None:
-            self._agenda.plan.revoke("link-decommission")
+        self._revoke_planners()
         if self._agg is not None:
             self._decommission()
         self._deliver = fn
@@ -187,8 +191,7 @@ class Link:
 
     @drop_hook.setter
     def drop_hook(self, fn: Optional[Callable[[Packet], None]]) -> None:
-        if self._agenda is not None:
-            self._agenda.plan.revoke("link-decommission")
+        self._revoke_planners()
         if self._agg is not None:
             self._decommission()
         self._drop_hook = fn
@@ -201,11 +204,18 @@ class Link:
 
     @qdisc.setter
     def qdisc(self, policy) -> None:
-        if self._agenda is not None:
-            self._agenda.plan.revoke("link-decommission")
+        self._revoke_planners()
         if self._agg is not None:
             self._decommission()
         self._qdisc = policy
+
+    def _revoke_planners(self) -> None:
+        """Link-config chokepoint: revoke a planned probe stream crossing
+        this hop and dissolve a flow-transit domain owning it."""
+        if self._agenda is not None:
+            self._agenda.plan.revoke("link-decommission")
+        if self._owner is not None:
+            self._owner.dissolve("link-decommission")
 
     # ------------------------------------------------------------------
     # Piecewise-constant capacity schedule (plannable time variation)
@@ -262,8 +272,7 @@ class Link:
         bounds = [t for t, _ in pairs]
         if any(b >= a for b, a in zip(bounds, bounds[1:])):
             raise ValueError("segment boundaries must be strictly increasing")
-        if self._agenda is not None:
-            self._agenda.plan.revoke("link-decommission")
+        self._revoke_planners()
         # Fold everything due under the schedule in force until now; the
         # per-packet path would have admitted those arrivals before this
         # call ran, under the same (old) rate function.
@@ -294,7 +303,10 @@ class Link:
 
         While a planned probe stream transits this hop (``_agenda`` is
         set), folding goes through :meth:`_sync_fg`, which interleaves the
-        agenda's precomputed admissions with the cross arrivals.
+        agenda's precomputed admissions with the cross arrivals.  A
+        flow-transit domain owning the hop (``_owner``) needs no replay:
+        its walk admits straight into this state, so only the cross
+        arrivals after its last admission are left to fold here.
         """
         agenda = self._agenda
         if agenda is not None:
@@ -322,7 +334,7 @@ class Link:
                 stats.packets_forwarded += agenda.d_fwd_pkts
                 stats.bytes_dropped += agenda.d_drop_bytes
                 stats.packets_dropped += agenda.d_drop_pkts
-                agenda.idx = agenda.count()
+                agenda.idx = len(agenda.times)
                 self._agenda = None
                 if agg is None:
                     self._purge(t_now)
@@ -462,22 +474,14 @@ class Link:
                 cn = int(times.searchsorted(t_now, side="right")) - ci0
                 c_times = times[ci0:ci0 + cn].tolist()
                 c_sizes = agg.sizes[ci0:ci0 + cn].tolist()
-        a_pairs = agenda.pairs
+        a_times = agenda.times
         ai = agenda.idx
-        an = len(a_pairs)
-        a_sizes = agenda.sizes  # per-entry sizes (flow agendas); None = fixed
-        # Flow agendas (a_sizes is not None) store bare arrival times in
-        # ``pairs``; stream agendas store (time, schedule_index) tuples.
-        tupled = a_sizes is None
-        if ai < an:
-            a_t0 = a_pairs[ai][0] if tupled else a_pairs[ai]
-        else:
-            a_t0 = t_now
-        if not cn and (ai >= an or a_t0 > t_now):
+        an = len(a_times)
+        if not cn and (ai >= an or a_times[ai] > t_now):
             return
         a_accepts = agenda.accepts
         a_dones = agenda.dones
-        a_size = agenda.size
+        size = agenda.size
         cap = self.capacity_bps
         cap_sched = self._cap_sched
         free_at = self._free_at
@@ -493,28 +497,25 @@ class Link:
         inf = float("inf")
         while True:
             c_t = c_times[ci] if ci < cn else inf
-            if ai < an:
-                a_t = a_pairs[ai][0] if tupled else a_pairs[ai]
-            else:
-                a_t = inf
+            a_t = a_times[ai] if ai < an else inf
             if c_t <= a_t:
                 t = c_t
                 if t > t_now:
                     break
-                size = c_sizes[ci]
+                c_size = c_sizes[ci]
                 while in_flight and in_flight[0][0] <= t:
                     backlog -= in_flight.popleft()[1]
-                if buffer_bytes is not None and backlog + size > buffer_bytes:
-                    drop_bytes += size
+                if buffer_bytes is not None and backlog + c_size > buffer_bytes:
+                    drop_bytes += c_size
                     drop_pkts += 1
                 else:
                     start = free_at if free_at > t else t
                     if cap_sched is not None:
                         cap = cap_sched[1][bisect_right(cap_sched[0], start)]
-                    free_at = start + size * 8.0 / cap
-                    in_flight.append((free_at, size))
-                    backlog += size
-                    fwd_bytes += size
+                    free_at = start + c_size * 8.0 / cap
+                    in_flight.append((free_at, c_size))
+                    backlog += c_size
+                    fwd_bytes += c_size
                     fwd_pkts += 1
                 ci += 1
             else:
@@ -523,7 +524,6 @@ class Link:
                     break
                 while in_flight and in_flight[0][0] <= t:
                     backlog -= in_flight.popleft()[1]
-                size = a_size if a_sizes is None else a_sizes[ai]
                 if a_accepts is None or a_accepts[ai]:
                     done = a_dones[ai]
                     free_at = done
@@ -552,16 +552,11 @@ class Link:
             agg.idx = ci0 + ci
             agg.compact()
         agenda.idx = ai
-        if ai >= an and not agenda.persistent:
-            # Persistent agendas (the flow-transit planner's) grow as the
-            # virtual walk advances; they are detached explicitly by their
-            # owner, never by fold exhaustion.
+        if ai >= an:
             self._agenda = None
 
     def _decommission(self) -> None:
         """Flush due bulk arrivals, then revert every source to per-packet."""
-        if self._agenda is not None:  # pragma: no cover - setters revoke first
-            self._agenda.plan.revoke("link-decommission")
         agg = self._agg
         if agg is None:
             return
@@ -619,6 +614,8 @@ class Link:
             # future per-packet, and clears this link's agenda; the sample
             # path from here on is what a never-planned run produces.
             self._agenda.plan.revoke("foreign-send")
+        # A flow-transit domain owning this hop needs nothing here: its
+        # walk never runs past the next real event, this one included.
         if self._agg is not None:
             self.sync(now)
         # Hot attributes bound once: this method runs once per foreground

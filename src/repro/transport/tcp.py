@@ -21,6 +21,7 @@ halves, and the sawtooth repeats.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -91,23 +92,14 @@ class TCPConfig:
             raise ValueError("need 0 < vegas_alpha <= vegas_beta")
 
 
-@dataclass
-class _SegmentInfo:
-    """Sender bookkeeping for one in-flight segment."""
-
-    seq: int  # first byte
-    length: int
-    send_time: float
-    retransmitted: bool = False
-
-
 class TCPReceiver:
     """Receiving side: cumulative ACKs plus out-of-order buffering.
 
     Delivery accounting: ``delivered_bytes`` counts in-order bytes, and
-    ``delivery_log`` records ``(time, cumulative_in_order_bytes)`` after
+    ``delivered_log`` records ``(time, cumulative_in_order_bytes)`` after
     every advance — the series Section VII bins into 1-second throughput
-    samples.
+    samples.  The log is stored as two parallel columns (``_log_t``,
+    ``_log_bytes``); ``delivered_log`` is a read-only list view.
     """
 
     def __init__(
@@ -123,13 +115,19 @@ class TCPReceiver:
         self.config = config
         self.rcv_nxt = 0  # next expected byte
         self._out_of_order: dict[int, int] = {}  # seq -> length
-        self.delivered_log: list[tuple[float, int]] = []
+        self._log_t = array("d")
+        self._log_bytes = array("q")
         self.acks_sent = 0
         self._delack_pending = 0
         self._delack_timer: Optional[ScheduledCall] = None
         self._sender_addr: Optional[Callable[[Packet], None]] = None
 
     # ------------------------------------------------------------------
+    @property
+    def delivered_log(self) -> list[tuple[float, int]]:
+        """``(time, cumulative_in_order_bytes)`` after every advance."""
+        return list(zip(self._log_t, self._log_bytes))
+
     @property
     def delivered_bytes(self) -> int:
         """Cumulative in-order bytes received."""
@@ -140,14 +138,13 @@ class TCPReceiver:
         if t_to <= t_from:
             raise ValueError("need t_to > t_from")
         # The log is appended in event order, so both lookups ("last
-        # cumulative count at or before t") are binary searches; the
-        # linear scan this replaces made binned sampling O(bins * log).
-        log = self.delivered_log
-        inf = float("inf")
-        i = bisect_right(log, (t_from, inf))
-        j = bisect_right(log, (t_to, inf))
-        start = log[i - 1][1] if i else 0
-        end = log[j - 1][1] if j else start
+        # cumulative count at or before t") bisect the time column.
+        times = self._log_t
+        counts = self._log_bytes
+        i = bisect_right(times, t_from)
+        j = bisect_right(times, t_to)
+        start = counts[i - 1] if i else 0
+        end = counts[j - 1] if j else start
         return (end - start) * 8.0 / (t_to - t_from)
 
     def binned_throughput_bps(
@@ -179,7 +176,8 @@ class TCPReceiver:
         self.rcv_nxt = seq + length
         while self.rcv_nxt in self._out_of_order:
             self.rcv_nxt += self._out_of_order.pop(self.rcv_nxt)
-        self.delivered_log.append((self.sim.now, self.rcv_nxt))
+        self._log_t.append(self.sim.now)
+        self._log_bytes.append(self.rcv_nxt)
         self._emit_ack(force=not self.config.delayed_ack)
 
     def _emit_ack(self, force: bool) -> None:
@@ -270,7 +268,9 @@ class TCPSender:
         self._vegas_ss_grow = True  # slow start doubles every *other* RTT
         self.rto = cfg.initial_rto
         self._rto_timer: Optional[ScheduledCall] = None
-        self._in_flight: dict[int, _SegmentInfo] = {}
+        # seq -> send time of each unacknowledged segment, ascending seq;
+        # None once retransmitted (Karn: never an RTT sample).
+        self._in_flight: dict[int, Optional[float]] = {}
         self._stopped = False
         self._completed = False
         self._pp_claimed = False  # holds a network per-packet claim while active
@@ -284,7 +284,10 @@ class TCPSender:
         self.segments_sent = 0
         self.retransmits = 0
         self.timeouts = 0
-        self.cwnd_log: list[tuple[float, float]] = []
+        # cwnd after every change, as parallel time/value columns;
+        # ``cwnd_log`` is the read-only list-of-pairs view.
+        self._cwnd_t = array("d")
+        self._cwnd_v = array("d")
         # Cached tracer: the nil path costs one None-check per cwnd change.
         # Light tracers cache None: per-ack cwnd/rto instants are exactly
         # the per-packet visibility --trace-light trades away, and a None
@@ -328,6 +331,11 @@ class TCPSender:
         self._stopped = True
         self._cancel_rto()
         self._release_claim()
+
+    @property
+    def cwnd_log(self) -> list[tuple[float, float]]:
+        """``(time, cwnd)`` after every congestion-window change."""
+        return list(zip(self._cwnd_t, self._cwnd_v))
 
     @property
     def acked_bytes(self) -> int:
@@ -379,15 +387,11 @@ class TCPSender:
             payload=length,
             created_at=self.sim.now,
         )
-        info = self._in_flight.get(seq)
-        if info is None:
-            info = _SegmentInfo(seq=seq, length=length, send_time=self.sim.now)
-            self._in_flight[seq] = info
-        else:
-            info.send_time = self.sim.now
         if retransmission:
-            info.retransmitted = True
+            self._in_flight[seq] = None
             self.retransmits += 1
+        else:
+            self._in_flight[seq] = self.sim.now
         self.segments_sent += 1
         self.network.send_forward(pkt, self.receiver.on_segment)
         if self._rto_timer is None:
@@ -425,9 +429,9 @@ class TCPSender:
         for seq in sorted(self._in_flight):
             if seq >= ack:
                 break
-            info = self._in_flight.pop(seq)
-            if not info.retransmitted:
-                self._update_rtt(self.sim.now - info.send_time)
+            sent_at = self._in_flight.pop(seq)
+            if sent_at is not None:
+                self._update_rtt(self.sim.now - sent_at)
         newly_acked = ack - self.snd_una
         self.snd_una = ack
         self.dupacks = 0
@@ -582,7 +586,8 @@ class TCPSender:
         self._log_cwnd()
 
     def _log_cwnd(self) -> None:
-        self.cwnd_log.append((self.sim.now, self.cwnd))
+        self._cwnd_t.append(self.sim.now)
+        self._cwnd_v.append(self.cwnd)
         if self._tracer is not None:
             self._tracer.instant(
                 self.sim.now,

@@ -18,13 +18,21 @@ adopted into the domain's walk instead of being refused with
 ``foreground-active``.
 """
 
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.probing import StreamSpec
 from repro.netsim import LinkSpec, Simulator, build_path
+from repro.netsim.engine import SimulationError
+from repro.netsim.flowtransit import FlowTransitDomain
 from repro.netsim.qdisc import REDQueue
 from repro.netsim.topologies import build_single_hop_path
+from repro.transport.ping import Pinger
 from repro.transport.probe import ProbeChannel
 from repro.transport.tcp import TCPConfig, open_connection
 
@@ -175,6 +183,21 @@ class TestEquality:
         st1, s1, _, _, _ = run_flow(True, sanitize=True, utilization=0.3)
         st2, s2, _, _, _ = run_flow(True, sanitize=False, utilization=0.3)
         assert st1 == st2 and s1 == s2
+
+    def test_corrupted_admission_is_caught_under_sanitize(self, monkeypatch):
+        # A walk admission that leaves the hop's transmitter clock off by
+        # one nanosecond must fail the round's replay of its admission log.
+        admit = FlowTransitDomain._admit
+
+        def corrupted(self, vl, t, size):
+            done = admit(self, vl, t, size)
+            if done is not None:
+                vl.free_at = done + 1e-9
+            return done
+
+        monkeypatch.setattr(FlowTransitDomain, "_admit", corrupted)
+        with pytest.raises(SimulationError, match="flow-transit shadow check"):
+            run_flow(True, sanitize=True, hops=2, total_bytes=100_000)
 
     def test_flow_spans_recorded(self):
         _, _, _, net, _ = run_flow(True, total_bytes=100_000)
@@ -364,3 +387,85 @@ class TestFigurePointRun:
         monkeypatch.setenv("REPRO_NO_FAST", "1")
         rows_slow = _simulate(seed=150, interval=12.0)
         assert rows_fast == rows_slow
+
+    def test_fig17_point_run_bit_identical(self, monkeypatch):
+        # Figs 17-18: pathload streams adopted into the domain among the
+        # Reno flows, with the 10 Hz pinger sending through the flows' hops
+        # all along.  Same rows on the planned and the per-packet path.
+        from repro.experiments.fig17_18_intrusiveness import _simulate
+
+        monkeypatch.delenv("REPRO_NO_FAST", raising=False)
+        rows_fast = _simulate(seed=170, interval=12.0)
+        monkeypatch.setenv("REPRO_NO_FAST", "1")
+        rows_slow = _simulate(seed=170, interval=12.0)
+        assert rows_fast == rows_slow
+
+
+# ----------------------------------------------------------------------
+# Link state at arbitrary real instants
+# ----------------------------------------------------------------------
+def observed_link_state(buffer_bytes, utilization, n_flows, ping_interval, instants):
+    """Reno flows plus a pinger on one finite-buffer hop; at each of
+    ``instants`` a real event reads every link's stats, backlog and
+    transmitter clock."""
+    sim = Simulator()
+    if utilization > 0.0:
+        setup = build_single_hop_path(
+            sim, 10e6, utilization, np.random.default_rng(11),
+            buffer_bytes=buffer_bytes,
+        )
+        net = setup.network
+    else:
+        net = build_path(
+            sim, [LinkSpec(10e6, prop_delay=0.01, buffer_bytes=buffer_bytes)]
+        )
+    cfg = TCPConfig(min_rto=0.5)
+    flows = [
+        open_connection(
+            sim, net, config=cfg, total_bytes=400_000, start=0.0371 * i
+        )
+        for i in range(n_flows)
+    ]
+    Pinger(sim, net, interval=ping_interval, start=0.0123)
+    links = (*net.forward_links, *net.reverse_links)
+    samples = []
+
+    def observe():
+        for lk in links:
+            samples.append(
+                (
+                    sim.now,
+                    lk.name,
+                    lk.stats.snapshot(),
+                    lk.backlog_bytes(),
+                    lk._free_at,
+                )
+            )
+
+    for t in instants:
+        sim.schedule_at(t, observe)
+    sim.run(until=3.0)
+    return samples, tuple(flow_state(s, r) for s, r in flows), net
+
+
+class TestObservedLinkState:
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        buffer_bytes=st.sampled_from([12_000, 40_000]),
+        utilization=st.sampled_from([0.0, 0.4]),
+        n_flows=st.integers(1, 2),
+        ping_interval=st.sampled_from([0.05, 0.1003]),
+        instants=st.lists(
+            st.floats(0.001, 2.999, allow_nan=False), min_size=1, max_size=8
+        ),
+    )
+    def test_reads_equal_per_packet(
+        self, buffer_bytes, utilization, n_flows, ping_interval, instants
+    ):
+        args = (buffer_bytes, utilization, n_flows, ping_interval, instants)
+        samples_fast, flows_fast, net = observed_link_state(*args)
+        assert net._ft_flows == n_flows
+        with mock.patch.dict(os.environ, {"REPRO_NO_FAST": "1"}):
+            samples_slow, flows_slow, _ = observed_link_state(*args)
+        assert samples_fast == samples_slow
+        assert flows_fast == flows_slow
