@@ -159,15 +159,14 @@ class RngUnorderedIterationChecker:
 _HOOK_ATTRS = frozenset({"deliver", "drop_hook", "qdisc"})
 _PRIVATE_HOOK_ATTRS = frozenset({"_deliver", "_drop_hook", "_qdisc"})
 _LINK_MODULE = "repro.netsim.link"
-_STREAMTRANSIT_MODULE = "repro.netsim.streamtransit"
-_BULKARRIVALS_MODULE = "repro.netsim.bulkarrivals"
+_FLOWTRANSIT_MODULE = "repro.netsim.flowtransit"
 
 #: Simulator / link state movers: a hook calling any of these reschedules
 #: or re-enters the data path from inside the data path.
 _STATE_MOVER_METHODS = frozenset({
     "schedule", "schedule_at", "process", "send", "inject_at",
-    "send_forward", "send_reverse", "claim_per_packet", "release_per_packet",
-    "interrupt", "decommission", "_decommission", "sync", "revoke",
+    "send_forward", "send_reverse", "interrupt", "decommission",
+    "_decommission", "sync", "revoke",
 })
 
 
@@ -320,7 +319,7 @@ class HookPurityChecker:
                         body_calls |= _attr_calls(helper.node)
                 missing = [
                     want
-                    for want in ("_decommission", "revoke")
+                    for want in ("_decommission", "dissolve")
                     if want not in body_calls
                 ]
                 if missing:
@@ -332,52 +331,31 @@ class HookPurityChecker:
                         message=(
                             f"Link.{hook} setter no longer calls "
                             f"{' / '.join(missing)} — installing a hook must "
-                            "decommission the bulk path and revoke any "
-                            "in-flight stream plan, or the fast-path "
-                            "eligibility tables go silently stale"
+                            "decommission the bulk path and dissolve a "
+                            "flow-transit domain owning the link, or the "
+                            "fast-path eligibility tables go silently stale"
                         ),
                     )
-        stream = project.modules.get(_STREAMTRANSIT_MODULE)
-        if stream is not None:
-            plan = stream.functions.get("plan_stream")
-            if plan is not None:
+        transit = project.modules.get(_FLOWTRANSIT_MODULE)
+        if transit is not None:
+            rule = transit.functions.get("transit_refusal")
+            if rule is not None:
                 attrs = {
-                    n.attr for n in ast.walk(plan.node) if isinstance(n, ast.Attribute)
+                    n.attr for n in ast.walk(rule.node) if isinstance(n, ast.Attribute)
                 }
                 missing = sorted(_PRIVATE_HOOK_ATTRS - attrs)
                 if missing:
                     yield Finding(
                         rule_id=self.rule_id,
-                        path=stream.path,
-                        line=plan.lineno,
+                        path=transit.path,
+                        line=rule.lineno,
                         col=0,
                         message=(
-                            "plan_stream() eligibility check no longer "
+                            "transit_refusal() eligibility check no longer "
                             f"consults {', '.join(missing)} — a hooked link "
-                            "would be planned analytically and the hook "
-                            "callbacks silently skipped"
-                        ),
-                    )
-        bulk = project.modules.get(_BULKARRIVALS_MODULE)
-        if bulk is not None:
-            register = bulk.functions.get("CrossAggregator.register")
-            if register is not None:
-                calls = {
-                    n.func.attr
-                    for n in ast.walk(register.node)
-                    if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
-                }
-                if "revoke" not in calls:
-                    yield Finding(
-                        rule_id=self.rule_id,
-                        path=bulk.path,
-                        line=register.lineno,
-                        col=0,
-                        message=(
-                            "CrossAggregator.register() no longer revokes an "
-                            "installed stream plan — a source registered "
-                            "mid-stream would invalidate the planned transit "
-                            "without falling back to per-packet"
+                            "would carry flows and streams in the "
+                            "flow-transit walk and the hook callbacks would "
+                            "be silently skipped"
                         ),
                     )
 

@@ -136,17 +136,17 @@ ALL_RULES: tuple[Rule, ...] = (
             "or a stale fast-path decommission guard"
         ),
         rationale=(
-            "The bulk cross-traffic path and the analytic stream planner "
+            "The bulk cross-traffic path and the flow-transit domain "
             "are only bit-identical to per-packet simulation when link "
             "hooks are pure observers: a hook that reschedules, mutates "
             "link/simulator state, or draws RNG changes the trajectory, so "
             "installing one must decommission the fast paths (the Link "
-            "property setters revoke in-flight plans and fall back).  This "
-            "rule checks both sides of that contract project-wide: every "
-            "hook installation site is resolved to its function body and "
-            "checked for purity, and the decommission guards themselves "
-            "(Link setters, plan_stream eligibility, CrossAggregator."
-            "register) are cross-checked so they cannot silently go stale."
+            "property setters dissolve an owning domain and fall back).  "
+            "This rule checks both sides of that contract project-wide: "
+            "every hook installation site is resolved to its function body "
+            "and checked for purity, and the decommission guards themselves "
+            "(Link setters, the shared transit_refusal eligibility rule) "
+            "are cross-checked so they cannot silently go stale."
         ),
     ),
     Rule(

@@ -98,8 +98,8 @@ class CrossAggregator:
 
     Merges only append (the three arrays are views of doubling buffers),
     and :meth:`compact` is the only operation that shifts indices: the
-    planners' cursors into the queue (``HopAgenda.ci_start``/``ci_end``,
-    the flow domain's ``vci``) rely on that.  Read the attributes afresh
+    flow-transit domain's cursor into the queue (``vci``) relies on
+    that.  Read the attributes afresh
     after anything that may merge.
     """
 
@@ -193,10 +193,6 @@ class CrossAggregator:
         (every source's first arrival lies strictly after registration,
         so no arrival can come due before that event runs).
         """
-        if self.link._agenda is not None:
-            # A planned probe stream snapshotted this link's cross arrivals
-            # without the newcomer; its transit is no longer valid.
-            self.link._agenda.plan.revoke("source-registered")
         self._unmerge()
         feed = _Feed(source, order=len(self.feeds))
         self.feeds.append(feed)
@@ -271,17 +267,25 @@ class CrossAggregator:
             self._event = self.sim.schedule_at(safe, self._extend)
 
     def _extend(self) -> None:
-        """Refill-horizon event: generate the next batches and re-merge."""
+        """Refill-horizon event: generate the next batches and re-merge.
+
+        A link nobody reads for a while (the tight link after a
+        measurement ends) would grow its buffers with every refill, so a
+        long unconsumed queue is folded first; folding earlier never
+        changes the queue state a later sync point observes.
+        """
         self._event = None
+        if self.times.shape[0] - self.idx > _COMPACT_THRESHOLD:
+            self.link.sync()
         self._merge()
 
     def extend_until(self, t: float) -> None:
         """Force merged coverage of every arrival with timestamp ≤ ``t``.
 
-        Used by the stream-transit planner
-        (:mod:`repro.netsim.streamtransit`), which needs the cross-arrival
-        sequence over the whole stream horizon *now* rather than at the
-        refill events.  Each :meth:`_merge` drains the binding feed and
+        Used by the flow-transit walk (:mod:`repro.netsim.flowtransit`),
+        which needs the cross-arrival sequence up to the instant it admits
+        at *now* rather than at the refill events.  Each :meth:`_merge`
+        drains the binding feed and
         refills it on the next pass, so the safe horizon strictly advances
         until it covers ``t`` (or every feed ends).  RNG draw order per
         source is untouched — batches are generated in the same sequence,

@@ -1,24 +1,21 @@
-"""Event-elided TCP flows: the flow-transit domain.
+"""The flow-transit domain: event-elided TCP flows and probe streams.
 
-PR 4 elided per-packet events for background cross traffic, PR 6 for the
-foreground probe streams.  What remains on the hot path of the Section
-VII experiments (fig15-18) is TCP itself: every segment of the BTC
-transfer costs two link events and two endpoint callbacks, and — worse —
-an *active* TCP flow held a per-packet claim that forced every probe
-stream back to the per-packet path, so the intrusiveness study paid both
-costs at once.
-
-This module generalizes the stream-transit idea from one planned probe
-stream to a *domain*: a per-network virtual event loop that simulates
-every attached TCP flow (and any concurrent probe streams) with cheap
-tuples on a private heap instead of engine events.  The core loop is the
-same per-hop Lindley recursion ``start = max(arrival, free_at); done =
-start + size*8/C`` merged against each hop's
+Background cross traffic is event-elided by the bulk-arrivals path
+(:mod:`repro.netsim.bulkarrivals`).  What remains on the hot path of
+every experiment is foreground traffic: each probe
+packet and each TCP segment costs one event per hop plus its endpoint
+callbacks.  A *domain* is a per-network virtual event loop that carries
+every attached TCP flow and every probe stream with cheap tuples on a
+private heap instead of engine events.  A solo probe stream is simply a
+domain with zero flows.  The core loop is the per-hop Lindley recursion
+``start = max(arrival, free_at); done = start + size*8/C`` of the
+paper's path model (Section III-A), merged against each hop's
 :class:`~repro.netsim.bulkarrivals.CrossAggregator` arrays, with exact
-drop-tail replay on finite buffers — but where the stream planner
-computes a whole stream at send time, the domain interleaves *feedback*
-traffic (data -> ack -> cwnd growth -> more data) by walking its virtual
-heap in timestamp order.
+drop-tail replay on finite buffers.  Feedback traffic (data -> ack ->
+cwnd growth -> more data) interleaves by walking the virtual heap in
+timestamp order; a round that carries one lone probe stream and nothing
+else sweeps it hop by hop instead (:meth:`FlowTransitDomain._sweep`),
+with the vector kernel on long infinite-buffer hops.
 
 Correctness rests on one invariant — the **cap-bounded walk**:
 
@@ -32,9 +29,11 @@ Correctness rests on one invariant — the **cap-bounded walk**:
   once, and writes the transmitter clock, backlog and cross cursor back
   at the end of every round.  Every walked admission lies before the
   next real event, so at any real sync point — a foreign ``Link.send``
-  (ping, per-packet cross), a monitor's ``stats`` read, a backlog
-  query — the link already holds the per-packet path's state, and the
-  ordinary cross-only ``Link.sync`` brings it to the present.
+  (ping, per-packet cross, a per-packet flow or stream), a monitor's
+  ``stats`` read, a backlog query — the link already holds the
+  per-packet path's state, and the ordinary cross-only ``Link.sync``
+  brings it to the present.  The domain is therefore exact beside
+  per-packet traffic and needs no claim on the network.
 * Flow state (cwnd, RTT estimators, receiver buffers) is mutated
   directly on the real ``TCPSender``/``TCPReceiver`` objects while their
   ``sim``/``network`` attributes are shimmed; because of the cap
@@ -47,13 +46,14 @@ and ``TCPReceiver.on_segment``); everything else — Vegas, delayed ACKs,
 recovery episodes, RTO — executes the *real* transport code under the
 shims, so there is exactly one implementation of the tricky parts.
 
-Fallback mirrors PR 6's optimistic-plan/chokepoint-revocation contract:
-ineligible configurations (tracer attached, qdisc/drop hook/rebound
-deliver, impure clocks, ``fast=False``/``REPRO_NO_FAST``) never attach,
-and a mid-flight ineligibility (link decommission, tracer attach)
-*dissolves* the domain — every in-flight virtual packet materializes as
-an ordinary engine event at its already-committed time, flows re-claim
-the per-packet path, adopted streams rewind their unsent suffix — so the
+Fallback: :func:`transit_refusal` is the one eligibility rule for flows
+and streams (full tracer, impure stream clocks, a hook/qdisc/rebound
+deliver or a capacity schedule on any link); refused traffic takes the
+per-packet path.  A mid-flight ineligibility (link decommission, a
+capacity schedule installed, a full tracer attached) *dissolves* the
+domain — every in-flight virtual packet materializes as an ordinary
+engine event at its already-committed time, flows return to the
+per-packet path, adopted streams rewind their unsent suffix — so the
 sample path equals a never-planned run.  ``Simulator(sanitize=True)``
 replays every round's admission log per hop from the round-start
 snapshot and raises on any divergence.
@@ -62,8 +62,11 @@ snapshot and raises on any divergence.
 from __future__ import annotations
 
 import heapq
+import math
 import warnings
+from bisect import bisect_left, bisect_right
 from collections import deque
+from itertools import repeat
 from operator import attrgetter
 from typing import TYPE_CHECKING, Optional
 
@@ -72,13 +75,18 @@ from . import kernels
 from .engine import SimulationError
 from .fastpath import resolve_fast
 from .packet import Packet, PacketKind
-from .streamtransit import StreamPlan, _impure, plan_stream
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from ..transport.probe import ProbeChannel, _StreamRun
     from ..transport.tcp import TCPSender
 
-__all__ = ["FlowTransitDomain", "FLOW_FALLBACK_REASONS", "try_attach_flow"]
+__all__ = [
+    "FlowTransitDomain",
+    "FLOW_FALLBACK_REASONS",
+    "StreamPlan",
+    "domain_of",
+    "transit_refusal",
+    "try_attach_flow",
+]
 
 #: Every reason ``repro_fastpath_flow_fallback_total`` may carry, for
 #: declared-but-zero metric export (docs/observability.md).
@@ -106,10 +114,11 @@ def _warn_tracer_fallback() -> None:
     if not _warned_tracer:
         _warned_tracer = True
         warnings.warn(
-            "a full tracer forces TCP flows onto the per-packet path "
-            "(reason 'tracer' in repro_fastpath_flow_fallback_total); use a "
-            "light tracer (--trace-light / Tracer(light=True)) to keep the "
-            "flow-transit fast path while collecting aggregate telemetry",
+            "a full tracer forces TCP flows and probe streams onto the "
+            "per-packet path (reason 'tracer' in the repro_fastpath_*"
+            "fallback_total counters); use a light tracer (--trace-light / "
+            "Tracer(light=True)) to keep the flow-transit fast path while "
+            "collecting aggregate telemetry",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -128,8 +137,8 @@ K_DATA = 1  # (t, q, K_DATA, fs, seq, length): segment delivery at receiver
 K_ACK = 2  # (t, q, K_ACK, fs, ack): cumulative-ACK delivery at sender
 K_TIMER = 3  # (t, q, K_TIMER, vt): shimmed sim.schedule() callback
 K_XMIT = 4  # (t, q, K_XMIT, links, size, tail): out-of-walk send at t
-K_SSEND = 5  # (t, q, K_SSEND, ss, i): probe-stream send of schedule index i
-K_SDELIV = 6  # (t, q, K_SDELIV, ss, i): probe packet i delivery at receiver
+K_SSEND = 5  # (t, q, K_SSEND, plan, i): probe-stream send of schedule index i
+K_SDELIV = 6  # (t, q, K_SDELIV, plan, i): probe packet i delivery at receiver
 
 
 class _VTimer:
@@ -200,14 +209,6 @@ class _FlowVNet:
         self.domain._send(fs.revv, pkt.size, (K_ACK, fs, pkt.seq))
         return True
 
-    # Claim bookkeeping is a planner heuristic; attached flows hold no
-    # claim, but delegate defensively in case transport code reaches it.
-    def claim_per_packet(self) -> None:  # pragma: no cover - defensive
-        self.domain.network.claim_per_packet()
-
-    def release_per_packet(self) -> None:  # pragma: no cover - defensive
-        self.domain.network.release_per_packet()
-
 
 class _VLink:
     """One link's queue state as the walk sees it.
@@ -268,45 +269,107 @@ class _FlowState:
     )
 
 
-class _StreamState:
-    """Domain-side bookkeeping for one adopted probe stream."""
+class StreamPlan:
+    """One probe stream carried by a flow-transit domain.
+
+    Holds the stream's schedule and clocks for the walk, the receiver
+    records it produced in delivery order, and the rewind state a
+    dissolve needs.  Records are *committed* into the live ``_StreamRun``
+    at finalize time (or at a rewind), so straggler accounting matches
+    the per-packet path exactly.
+    """
 
     __slots__ = (
+        "domain",
         "channel",
         "run",
         "done",
-        "plan",
         "sched",
         "n",
         "size",
         "fwdv",
+        "sweepable",
         "sender_read",
         "receiver_read",
         "resume_i",
+        "records",
+        "rec_times",
+        "_committed",
+        "complete_call",
     )
 
-
-class _DomainStreamPlan(StreamPlan):
-    """Plan object handed to adopted streams.
-
-    Deliveries are produced by the domain walk, so the plan itself holds
-    no hop agendas; revocation (reachable only through defensive paths —
-    the links' chokepoints talk to the domain as their ``_owner``)
-    dissolves the whole domain, which performs this plan's rewind along
-    with everything else.
-    """
-
-    __slots__ = ("domain",)
-
-    def __init__(self, channel, run, done_event, domain):
-        super().__init__(channel, run, done_event)
+    def __init__(self, domain, channel, run, done):
         self.domain = domain
+        self.channel = channel
+        self.run = run
+        self.done = done
+        sched = run.schedule
+        self.sched = sched
+        self.n = n = run.spec.n_packets
+        self.size = run.spec.packet_size
+        vls = domain._vl
+        self.fwdv = fwdv = tuple(vls[link] for link in channel.network.forward_links)
+        # A lone-stream round may sweep hop by hop only when the closing
+        # packet is the last one sent (so its delivery is the stream's
+        # last event) and no hop repeats (so hops hold independent state).
+        self.sweepable = sched[-1][1] == n - 1 and len(set(fwdv)) == len(fwdv)
+        self.sender_read = channel.sender_clock.read
+        self.receiver_read = channel.receiver_clock.read
+        self.resume_i = None
+        self.records: list = []
+        self.rec_times: list[float] = []
+        self._committed = 0
+        self.complete_call = None
 
-    def revoke(self, reason: str) -> None:  # pragma: no cover - safety net
-        if self.revoked:
-            return
-        if self.domain.alive:
-            self.domain.dissolve(reason)
+    def commit(self, limit: float, inclusive: bool) -> None:
+        """Append walked records with delivery time up to ``limit``.
+
+        ``inclusive`` matches the per-packet event order at the boundary:
+        the stream-closing arrival commits itself (<=), while the
+        deadline event — inserted at stream start, hence popped first on
+        an exact tie — cuts strictly (<).
+        """
+        times = self.rec_times
+        p = self._committed
+        if inclusive:
+            q = bisect_right(times, limit, p)
+        else:
+            q = bisect_left(times, limit, p)
+        if q > p:
+            self.run.records.extend(self.records[p:q])
+            self._committed = q
+
+    def retire_or_revoke(self, reason: str) -> None:
+        """Dissolve seam: a virtually complete stream (its closing
+        delivery already walked, the completion event pending) simply
+        retires — that event commits and finalizes it; any other stream
+        is rewound onto the per-packet path."""
+        if self.complete_call is None:
+            self.revoke(reason)
+
+    def revoke(self, reason: str) -> None:
+        """Rewind onto the per-packet path after a dissolve.
+
+        The dissolving domain has already materialized every in-flight
+        packet as an engine event (and recorded in ``resume_i`` the first
+        schedule index it had not sent); this commits the records
+        delivered up to now and resumes the self-rescheduling sender at
+        its precomputed send times, so jitter draws are not repeated and
+        the sample path equals a run that never planned.
+        """
+        channel = self.channel
+        sim = channel.sim
+        run = self.run
+        self.commit(sim._now, inclusive=True)
+        run.plan = None
+        channel._note_fallback(reason)
+        i0 = self.resume_i if self.resume_i is not None else self.n
+        if i0 < self.n:
+            unsent = self.n - i0
+            run.n_sent -= unsent
+            channel.packets_sent -= unsent
+            channel.bytes_sent -= unsent * self.size
+            sim.schedule_at(self.sched[i0][0], channel._send_next, run, i0, self.done)
 
 
 class FlowTransitDomain:
@@ -335,7 +398,7 @@ class FlowTransitDomain:
         self.network = network
         self.alive = True
         self.flows: list[_FlowState] = []
-        self.streams: list[_StreamState] = []
+        self.streams: list[StreamPlan] = []
         self.vsim = _VSim(self)
         self._vheap: list = []
         self._vseq = 0
@@ -528,13 +591,10 @@ class FlowTransitDomain:
             return
         vheap = self._vheap
         heappop = heapq.heappop
-        if self.streams:
-            live = [ss for ss in self.streams if not ss.run.done]
-            if len(live) != len(self.streams):
-                self.streams = live
         while vheap and vheap[0][2] == K_TIMER and vheap[0][3].cancelled:
             heappop(vheap)
         if not vheap:
+            self._maybe_retire()
             return
         now = sim._now
         head = sim.peek_time()
@@ -549,12 +609,53 @@ class FlowTransitDomain:
         if t0 > now and t0 >= cap:
             self._round_call = sim.schedule_at(t0, self._round)
             return
-        sanitize = sim._sanitize
-        snaps = [] if sanitize else None
-        vls = self._vl
-        for link in self.links:
-            link.sync()
-            vl = vls[link]
+        lone = self._lone_stream()
+        if lone is None:
+            vls = self._vl.values()
+            snaps = self._load(vls, True)
+        else:
+            # The sweep folds every cross arrival it passes itself, those
+            # due by now included, so its links need no sync first.
+            vls = lone.fwdv
+            snaps = self._load(vls, False)
+        self._walking = True
+        self._vnow = now
+        self._limit = cap
+        try:
+            if lone is not None:
+                self._sweep(lone, now)
+            else:
+                self._walk(now)
+        finally:
+            if self._pmin < _INF:
+                self._flush_pending()
+            self._walking = False
+            for vl in vls:
+                link = vl.link
+                link._free_at = vl.free_at
+                link._backlog_bytes = vl.backlog
+                if vl.agg is not None:
+                    vl.agg.idx = vl.vci
+        if snaps is not None:
+            self._verify_round(snaps)
+        if not self.alive:
+            return
+        while vheap and vheap[0][2] == K_TIMER and vheap[0][3].cancelled:
+            heappop(vheap)
+        if vheap:
+            self._round_call = sim.schedule_at(vheap[0][0], self._round)
+        else:
+            self._maybe_retire()
+
+    def _load(self, vls, sync: bool):
+        """Read ``vls``' queue state for a round (syncing their links first
+        when ``sync``); return the round-start snapshots under sanitize,
+        else None."""
+        snaps = [] if self.sim._sanitize else None
+        for vl in vls:
+            link = vl.link
+            if sync:
+                link.sync()
             vl.cap = link.capacity_bps
             vl.prop = link.prop_delay
             vl.buffer_bytes = link.buffer_bytes
@@ -564,12 +665,12 @@ class FlowTransitDomain:
             vl.agg = agg
             if agg is not None:
                 # The walk's folds advance the cursor without compacting
-                # (the shadow check below slices by index), so trim here.
+                # (the shadow check slices by index), so trim here.
                 agg.compact()
                 vl.vci = agg.idx
             else:
                 vl.vci = 0
-            if sanitize:
+            if snaps is not None:
                 vl.log = []
                 snaps.append(
                     (
@@ -581,66 +682,333 @@ class FlowTransitDomain:
                         _stat_counts(vl.stats),
                     )
                 )
-        self._walking = True
-        self._vnow = now
-        self._limit = cap
+        return snaps
+
+    def _walk(self, now: float) -> None:
+        """Pop the virtual heap in timestamp order up to the round limit."""
+        vheap = self._vheap
+        heappop = heapq.heappop
         ev_ack = self._ev_ack
         ev_data = self._ev_data
-        try:
-            while True:
-                if vheap:
-                    ev = vheap[0]
-                    t = ev[0]
-                else:
-                    ev = None
-                    t = _INF
-                if self._pmin <= t:
-                    if self._pmin == _INF:
-                        break  # heap empty, no timers postponed
-                    # A postponed RTO timer is due at or before the head
-                    # event; surface it with its original tiebreak so the
-                    # heap restores exact eager-push dispatch order.
-                    self._flush_pending()
-                    continue
-                if ev is None or (t > now and t >= self._limit):
-                    break
-                heappop(vheap)
-                k = ev[2]
-                self._vnow = t
-                if k == K_ACK:
-                    ev_ack(t, ev[3], ev[4])
-                elif k == K_DATA:
-                    ev_data(t, ev[3], ev[4], ev[5])
-                elif k == K_TIMER:
-                    vt = ev[3]
-                    if not vt.cancelled:
-                        vt.fn(*vt.args)
-                elif k == K_ADMIT:
-                    self._hop_admit(ev[3], ev[4], t, ev[5], ev[6])
-                elif k == K_XMIT:
-                    self._hop_admit(ev[3], 0, t, ev[4], ev[5])
-                elif k == K_SSEND:
-                    self._ev_ssend(t, ev[3], ev[4])
-                else:  # K_SDELIV
-                    self._ev_sdeliv(t, ev[3], ev[4])
-        finally:
-            if self._pmin < _INF:
+        while True:
+            if vheap:
+                ev = vheap[0]
+                t = ev[0]
+            else:
+                ev = None
+                t = _INF
+            if self._pmin <= t:
+                if self._pmin == _INF:
+                    break  # heap empty, no timers postponed
+                # A postponed RTO timer is due at or before the head
+                # event; surface it with its original tiebreak so the
+                # heap restores exact eager-push dispatch order.
                 self._flush_pending()
-            self._walking = False
-            for vl in vls.values():
-                link = vl.link
-                link._free_at = vl.free_at
-                link._backlog_bytes = vl.backlog
-                if vl.agg is not None:
-                    vl.agg.idx = vl.vci
-        if sanitize:
-            self._verify_round(snaps)
-        if not self.alive:
-            return
-        while vheap and vheap[0][2] == K_TIMER and vheap[0][3].cancelled:
+                continue
+            if ev is None or (t > now and t >= self._limit):
+                break
             heappop(vheap)
-        if vheap:
-            self._round_call = sim.schedule_at(vheap[0][0], self._round)
+            k = ev[2]
+            self._vnow = t
+            if k == K_ACK:
+                ev_ack(t, ev[3], ev[4])
+            elif k == K_DATA:
+                ev_data(t, ev[3], ev[4], ev[5])
+            elif k == K_TIMER:
+                vt = ev[3]
+                if not vt.cancelled:
+                    vt.fn(*vt.args)
+            elif k == K_ADMIT:
+                self._hop_admit(ev[3], ev[4], t, ev[5], ev[6])
+            elif k == K_XMIT:
+                self._hop_admit(ev[3], 0, t, ev[4], ev[5])
+            elif k == K_SSEND:
+                self._ev_ssend(t, ev[3], ev[4])
+            else:  # K_SDELIV
+                self._ev_sdeliv(t, ev[3], ev[4])
+
+    # ------------------------------------------------------------------
+    # The lone-stream hop sweep
+    # ------------------------------------------------------------------
+    def _lone_stream(self) -> Optional[StreamPlan]:
+        """The stream this round may sweep hop by hop, or None.
+
+        A round qualifies when it carries no flow and no postponed timer,
+        exactly one stream whose closing packet is sent last, and nothing
+        on the heap but that stream's events.  Its hops then hold
+        independent state and its closing delivery is its last event, so
+        walking each hop to the round limit in turn is the heap walk.
+        """
+        if self.flows or self._pmin < _INF or len(self.streams) != 1:
+            return None
+        plan = self.streams[0]
+        if not plan.sweepable:
+            return None
+        for ev in self._vheap:
+            k = ev[2]
+            if k == K_ADMIT:
+                if ev[6][1] is not plan:
+                    return None
+            elif k == K_TIMER or k == K_XMIT or ev[3] is not plan:
+                return None
+        return plan
+
+    def _sweep(self, plan: StreamPlan, now: float) -> None:
+        """Walk ``plan``'s packets hop by hop up to the round limit.
+
+        Each hop admits, in time order, the arrivals the heap walk would
+        have popped this round: the pending ones carried over from earlier
+        rounds, then this round's exits of the previous hop (FIFO hops keep
+        that concatenation sorted).  Arrivals at or beyond the limit go
+        back on the heap as the events the heap walk would have left.
+        """
+        limit = self._limit
+        vheap = self._vheap
+        fwdv = plan.fwdv
+        nh = len(fwdv)
+        sched = plan.sched
+        size = plan.size
+        # Carried-over arrivals per hop; index nh holds receiver deliveries.
+        pend: list[list] = [[] for _ in range(nh + 1)]
+        send = None
+        for ev in vheap:
+            k = ev[2]
+            if k == K_SSEND:
+                send = ev
+            elif k == K_ADMIT:
+                pend[ev[4]].append(ev)
+            else:  # K_SDELIV
+                pend[nh].append(ev)
+        vheap.clear()  # in place: the round holds an alias
+        # An arrival is walked when at or before now, or before the limit.
+        late = limit if limit > now else math.nextafter(now, _INF)
+        ts: list[float] = []
+        ix: list[int] = []
+        if send is not None:
+            i0 = send[4]
+            i1 = bisect_left(sched, (late,), i0)
+            if i1 < plan.n:
+                if i1 == i0:
+                    vheap.append(send)
+                else:
+                    self._vseq = q = self._vseq + 1
+                    vheap.append((sched[i1][0], q, K_SSEND, plan, i1))
+            ts = [t for t, _seq in sched[i0:i1]]
+            ix = list(range(i0, i1))
+        for h in range(nh + 1):
+            carried = pend[h]
+            if carried:
+                carried.sort()
+                c_t = [ev[0] for ev in carried]
+                k = bisect_left(c_t, late)
+                vheap.extend(carried[k:])
+                if h < nh:
+                    c_i = [ev[6][2] for ev in carried[:k]]
+                else:
+                    c_i = [ev[4] for ev in carried[:k]]
+                if ts:
+                    # This round's exits of the previous hop come after
+                    # every carried arrival (FIFO), so carried ones lead.
+                    ts = c_t[:k] + ts
+                    ix = c_i + ix
+                else:
+                    ts = c_t[:k]
+                    ix = c_i
+            if not ts:
+                continue
+            k = bisect_left(ts, late)
+            if k < len(ts):
+                vseq = self._vseq
+                if h < nh:
+                    for t, i in zip(ts[k:], ix[k:]):
+                        vseq += 1
+                        vheap.append(
+                            (t, vseq, K_ADMIT, fwdv, h, size, (K_SDELIV, plan, i))
+                        )
+                else:
+                    for t, i in zip(ts[k:], ix[k:]):
+                        vseq += 1
+                        vheap.append((t, vseq, K_SDELIV, plan, i))
+                self._vseq = vseq
+                del ts[k:]
+                del ix[k:]
+                if not ts:
+                    continue
+            if h < nh:
+                ts, ix = self._sweep_hop(fwdv[h], ts, ix, size)
+                continue
+            # The receiver: what _ev_sdeliv does per delivery.
+            records_append = plan.records.append
+            sender_read = plan.sender_read
+            receiver_read = plan.receiver_read
+            for t, i in zip(ts, ix):
+                s, seq = sched[i]
+                records_append(
+                    PacketRecord(
+                        seq=seq,
+                        sender_stamp=sender_read(s),
+                        recv_stamp=receiver_read(t),
+                    )
+                )
+            plan.rec_times.extend(ts)
+            if sched[ix[-1]][1] == plan.n - 1:
+                # The closing delivery, the stream's last event (sweep
+                # condition), is necessarily the last one walked.
+                self._vnow = ts[-1]
+                plan.complete_call = self._defer(
+                    plan.channel._fast_complete, plan.run, plan.done
+                )
+        heapq.heapify(vheap)
+
+    def _sweep_hop(self, vl: _VLink, ts: list, ix: list, size: int):
+        """Admit one hop's sorted stream arrivals ``ts`` (schedule indices
+        ``ix``) with the cross arrivals they pass; return the accepted
+        packets' exit times and indices.
+
+        The same accounting :meth:`_admit` performs per arrival: cross
+        arrivals first on exact-time ties, the in-flight purge, the
+        drop-tail decision, the admission and its stats.  Infinite
+        buffers defer the purge to the hop's last arrival ``t_end``
+        (nothing can drop, and completion times are monotone on a FIFO
+        link), and fold long hops with :func:`kernels.plan_hop`.
+        """
+        t_end = ts[-1]
+        agg = vl.agg
+        ci = vl.vci
+        cn = 0
+        if agg is not None:
+            if agg._horizon < t_end:
+                agg.extend_until(t_end)
+            times = agg.times
+            if ci < times.shape[0] and times[ci] <= t_end:
+                cn = int(times[ci:].searchsorted(t_end, side="right"))
+        free_at = vl.free_at
+        backlog = vl.backlog
+        infl = vl.infl
+        cap = vl.cap
+        prop = vl.prop
+        tx = size * 8.0 / cap
+        log = vl.log
+        buffer_bytes = vl.buffer_bytes
+        n = len(ts)
+        fwd_bytes = fwd_pkts = drop_bytes = drop_pkts = 0
+        if buffer_bytes is None:
+            planned = None
+            big_enough = (
+                cn + n >= kernels.MIN_BATCH if cn else n >= kernels.MIN_PROBES
+            )
+            if big_enough and kernels.enabled(self.sim.vector):
+                ct, cs = agg.arrays(ci, ci + cn) if cn else (None, None)
+                planned = kernels.plan_hop(
+                    free_at, ct, cs, ts, size, cap, t_end, prop, True
+                )
+            if planned is not None:
+                dones, xt, kept, free_at, fwd_bytes = planned
+            else:
+                dones = []
+                xt = []
+                kept = []
+                kept_append = kept.append
+                dones_append = dones.append
+                xt_append = xt.append
+                if not cn:
+                    # No cross arrivals due on this hop: only the probes'
+                    # own spacing matters — the bare Lindley chain.
+                    for t in ts:  # simlint: vector-safe
+                        start = free_at if free_at > t else t
+                        free_at = start + tx
+                        if free_at > t_end:
+                            kept_append((free_at, size))
+                        dones_append(free_at)
+                        xt_append(free_at + prop)
+                else:
+                    c_times = agg.times[ci:ci + cn].tolist()
+                    c_sizes = agg.sizes[ci:ci + cn].tolist()
+                    k = 0
+                    for t in ts:  # simlint: vector-safe
+                        while k < cn:
+                            tc = c_times[k]
+                            if tc > t:
+                                break
+                            sz = c_sizes[k]
+                            start = free_at if free_at > tc else tc
+                            free_at = start + sz * 8.0 / cap
+                            if free_at > t_end:
+                                kept_append((free_at, sz))
+                            fwd_bytes += sz
+                            k += 1
+                        start = free_at if free_at > t else t
+                        free_at = start + tx
+                        if free_at > t_end:
+                            kept_append((free_at, size))
+                        dones_append(free_at)
+                        xt_append(free_at + prop)
+                fwd_bytes += size * n
+            fwd_pkts = cn + n
+            while infl and infl[0][0] <= t_end:
+                backlog -= infl.popleft()[1]
+            infl.extend(kept)
+            for _, sz in kept:
+                backlog += sz
+            if log is not None:
+                log.extend(zip(ts, repeat(size), repeat(True), dones))
+            xi = ix
+        else:
+            # Exact drop-tail replay: per-arrival purge, cross folded
+            # first on exact-time ties, then the probe's own admission.
+            xt = []
+            xi = []
+            if cn:
+                c_times = agg.times[ci:ci + cn].tolist()
+                c_sizes = agg.sizes[ci:ci + cn].tolist()
+            k = 0
+            for t, i in zip(ts, ix):
+                while k < cn:
+                    tc = c_times[k]
+                    if tc > t:
+                        break
+                    sz = c_sizes[k]
+                    while infl and infl[0][0] <= tc:
+                        backlog -= infl.popleft()[1]
+                    if backlog + sz > buffer_bytes:
+                        drop_bytes += sz
+                        drop_pkts += 1
+                    else:
+                        start = free_at if free_at > tc else tc
+                        free_at = start + sz * 8.0 / cap
+                        infl.append((free_at, sz))
+                        backlog += sz
+                        fwd_bytes += sz
+                        fwd_pkts += 1
+                    k += 1
+                while infl and infl[0][0] <= t:
+                    backlog -= infl.popleft()[1]
+                if backlog + size > buffer_bytes:
+                    drop_bytes += size
+                    drop_pkts += 1
+                    if log is not None:
+                        log.append((t, size, False, 0.0))
+                else:
+                    start = free_at if free_at > t else t
+                    free_at = start + tx
+                    infl.append((free_at, size))
+                    backlog += size
+                    fwd_bytes += size
+                    fwd_pkts += 1
+                    if log is not None:
+                        log.append((t, size, True, free_at))
+                    xt.append(free_at + prop)
+                    xi.append(i)
+        stats = vl.stats
+        stats.bytes_forwarded += fwd_bytes
+        stats.packets_forwarded += fwd_pkts
+        if drop_pkts:
+            stats.bytes_dropped += drop_bytes
+            stats.packets_dropped += drop_pkts
+        vl.vci = ci + cn
+        vl.free_at = free_at
+        vl.backlog = backlog
+        return xt, xi
 
     def _flush_pending(self) -> None:
         """Move live postponed RTO timers onto the virtual heap.
@@ -920,75 +1288,61 @@ class FlowTransitDomain:
     # ------------------------------------------------------------------
     # Adopted probe streams
     # ------------------------------------------------------------------
-    def adopt_stream(self, channel, run, done_event):
+    def adopt_stream(self, channel, run, done_event) -> StreamPlan:
         """Carry one probe stream inside the domain walk.
 
-        Called from :func:`~repro.netsim.streamtransit.plan_stream` when a
-        domain owns this network's links.  Returns the familiar
-        ``(plan, reason)`` pair.
+        Called from :func:`~repro.netsim.streamtransit.plan_stream` once
+        :func:`transit_refusal` has passed; returns the stream's plan.
         """
-        sim = self.sim
-        tracer = sim.tracer
-        if tracer is not None and not tracer.light:
-            _warn_tracer_fallback()
-            self.dissolve("tracer")
-            return plan_stream(channel, run, done_event)
-        if _impure(channel.sender_clock) or _impure(channel.receiver_clock):
-            return None, "impure-clock"
-        plan = _DomainStreamPlan(channel, run, done_event, self)
-        ss = _StreamState()
-        ss.channel = channel
-        ss.run = run
-        ss.done = done_event
-        ss.plan = plan
-        sched = run.schedule
-        ss.sched = sched
-        ss.n = run.spec.n_packets
-        ss.size = run.spec.packet_size
-        vls = self._vl
-        ss.fwdv = tuple(vls[link] for link in self.network.forward_links)
-        ss.sender_read = channel.sender_clock.read
-        ss.receiver_read = channel.receiver_clock.read
-        ss.resume_i = None
-        self.streams.append(ss)
+        plan = StreamPlan(self, channel, run, done_event)
+        self.streams.append(plan)
         run.plan = plan
-        run.n_sent = ss.n
-        channel.packets_sent += ss.n
-        channel.bytes_sent += ss.n * ss.size
-        if sched:
-            self._vseq = q = self._vseq + 1
-            heapq.heappush(self._vheap, (sched[0][0], q, K_SSEND, ss, 0))
-            self._kick(sched[0][0])
-        return plan, None
+        n = plan.n
+        run.n_sent = n
+        channel.packets_sent += n
+        channel.bytes_sent += n * plan.size
+        t = plan.sched[0][0]
+        self._vseq = q = self._vseq + 1
+        heapq.heappush(self._vheap, (t, q, K_SSEND, plan, 0))
+        self._kick(t)
+        return plan
 
-    def _ev_ssend(self, t: float, ss: _StreamState, i: int) -> None:
-        if ss.run.done:
+    def finish_stream(self, plan: StreamPlan) -> None:
+        """Finalize seam: drop a finished stream's state, and retire the
+        domain once it carries nothing at all."""
+        try:
+            self.streams.remove(plan)
+        except ValueError:  # a dissolve already let go of it
+            return
+        self._maybe_retire()
+
+    def _ev_ssend(self, t: float, plan: StreamPlan, i: int) -> None:
+        if plan.run.done:
             return
         j = i + 1
-        if j < ss.n:
+        if j < plan.n:
             # Push the next send before admitting this packet, mirroring
             # the per-packet sender's reschedule-before-inject tie order.
             self._vseq = q = self._vseq + 1
-            heapq.heappush(self._vheap, (ss.sched[j][0], q, K_SSEND, ss, j))
-        self._hop_admit(ss.fwdv, 0, t, ss.size, (K_SDELIV, ss, i))
+            heapq.heappush(self._vheap, (plan.sched[j][0], q, K_SSEND, plan, j))
+        self._hop_admit(plan.fwdv, 0, t, plan.size, (K_SDELIV, plan, i))
 
-    def _ev_sdeliv(self, t: float, ss: _StreamState, i: int) -> None:
-        run = ss.run
+    def _ev_sdeliv(self, t: float, plan: StreamPlan, i: int) -> None:
+        run = plan.run
         if run.done:
             return  # straggler after deadline finalization: lost
-        s, seq = ss.sched[i]
-        plan = ss.plan
+        s, seq = plan.sched[i]
         plan.records.append(
             PacketRecord(
                 seq=seq,
-                sender_stamp=ss.sender_read(s),
-                recv_stamp=ss.receiver_read(t),
+                sender_stamp=plan.sender_read(s),
+                recv_stamp=plan.receiver_read(t),
             )
         )
         plan.rec_times.append(t)
-        if seq == ss.n - 1:
+        if seq == plan.n - 1:
             plan.complete_call = self._defer(
-                ss.channel._fast_complete, run, ss.done
+                plan.channel._fast_complete, run, plan.done
             )
 
     # ------------------------------------------------------------------
@@ -1043,6 +1397,7 @@ class FlowTransitDomain:
         if fs is None or fs.detached or fs.completing:
             return
         self._detach(fs)
+        self._maybe_retire()
 
     def _complete_flow(self, fs: _FlowState) -> None:
         fs.completing = False
@@ -1050,6 +1405,7 @@ class FlowTransitDomain:
             self._detach(fs)
         if fs.user_on_complete is not None:
             fs.user_on_complete(fs.sender)
+        self._maybe_retire()
 
     def _detach(self, fs: _FlowState) -> None:
         if fs.detached:
@@ -1140,18 +1496,18 @@ class FlowTransitDomain:
             )
             return pkt, fs.sender.on_ack
         # K_SDELIV
-        _, ss, i = tail
-        s, seq = ss.sched[i]
-        run = ss.run
-        done = ss.done
-        channel = ss.channel
+        _, plan, i = tail
+        s, seq = plan.sched[i]
+        run = plan.run
+        done = plan.done
+        channel = plan.channel
         pkt = Packet(
-            ss.size,
+            plan.size,
             flow_id=run.flow_id,
             seq=seq,
             kind=PacketKind.PROBE,
             created_at=s,
-            sender_stamp=ss.sender_read(s),
+            sender_stamp=plan.sender_read(s),
         )
         handler = lambda p, run=run, done=done: channel._on_arrival(run, p, done)
         return pkt, handler
@@ -1181,9 +1537,9 @@ class FlowTransitDomain:
             pkt.handler = target
             sim.schedule_at(t, links[0].send, pkt)
         elif k == K_SSEND:
-            ss, i = ev[3], ev[4]
-            if ss.resume_i is None or i < ss.resume_i:
-                ss.resume_i = i
+            plan, i = ev[3], ev[4]
+            if plan.resume_i is None or i < plan.resume_i:
+                plan.resume_i = i
         # K_TIMER: live timers are converted by _to_real at detach;
         # anything else on the heap is logically cancelled.
 
@@ -1200,10 +1556,41 @@ class FlowTransitDomain:
         """
         if not self.alive:
             return
-        self.alive = False
-        sim = self.sim
+        self._release()
+        vheap = self._vheap
+        drained = sorted(vheap)
+        vheap.clear()  # in place: walk-loop aliases must observe the drain
+        for ev in drained:
+            if ev[2] != K_TIMER:
+                self._materialize(ev)
+        streams, self.streams = self.streams, []
+        for plan in streams:
+            plan.retire_or_revoke(reason)
         network = self.network
-        if getattr(network, "_flow_domain", None) is self:
+        sim = self.sim
+        for fs in list(self.flows):
+            if fs.completing:
+                continue
+            self._detach(fs)
+            _note_flow_fallback(network, sim, reason)
+        self.flows = [fs for fs in self.flows if fs.completing]
+
+    def _maybe_retire(self) -> None:
+        """Let go of the links once nothing is carried and nothing is
+        pending, so a finished op holds no domain state; the next flow or
+        stream on this network starts a fresh domain."""
+        if self.flows or self.streams or self._walking or not self.alive:
+            return
+        for ev in self._vheap:
+            if ev[2] != K_TIMER or not ev[3].cancelled:
+                return
+        self._vheap.clear()
+        self._release()
+
+    def _release(self) -> None:
+        self.alive = False
+        network = self.network
+        if network._flow_domain is self:
             network._flow_domain = None
         rc = self._round_call
         if rc is not None:
@@ -1211,51 +1598,6 @@ class FlowTransitDomain:
             self._round_call = None
         for link in self.links:
             link._owner = None
-        vheap = self._vheap
-        drained = sorted(vheap)
-        vheap.clear()  # in place: walk-loop aliases must observe the drain
-        for ev in drained:
-            k = ev[2]
-            if k == K_TIMER:
-                continue
-            self._materialize(ev)
-        now = sim._now
-        for ss in self.streams:
-            run = ss.run
-            if run.done:
-                continue
-            plan = ss.plan
-            if plan.complete_call is not None:
-                # Virtually complete: the pending _fast_complete event
-                # will commit and finalize; nothing to rewind.
-                continue
-            plan.revoked = True
-            if not plan.commit_closed:
-                plan.commit(now, inclusive=True)
-                plan.commit_closed = True
-            run.plan = None
-            ss.channel._note_fallback(reason)
-            i0 = ss.resume_i if ss.resume_i is not None else ss.n
-            if i0 < ss.n:
-                unsent = ss.n - i0
-                run.n_sent -= unsent
-                ss.channel.packets_sent -= unsent
-                ss.channel.bytes_sent -= unsent * ss.size
-                sim.schedule_at(ss.sched[i0][0], ss.channel._send_next, run, i0, ss.done)
-            if not run.claimed:
-                run.claimed = True
-                network.claim_per_packet()
-        self.streams = []
-        for fs in list(self.flows):
-            if fs.completing:
-                continue
-            self._detach(fs)
-            snd = fs.sender
-            _note_flow_fallback(network, sim, reason)
-            if not snd._stopped and not snd._completed and not snd._pp_claimed:
-                snd._pp_claimed = True
-                network.claim_per_packet()
-        self.flows = [fs for fs in self.flows if fs.completing]
 
     # ------------------------------------------------------------------
     # Sanitize-mode shadow verification
@@ -1330,24 +1672,31 @@ class FlowTransitDomain:
 # ----------------------------------------------------------------------
 # Module-level seams
 # ----------------------------------------------------------------------
-def try_attach_flow(sender: "TCPSender") -> bool:
-    """``TCPSender._begin`` seam: attach to (or create) this network's
-    flow-transit domain.  Returns True when attached; on False the caller
-    takes the per-packet path (claiming as before)."""
-    network = sender.network
-    sim = sender.sim
-    domain = getattr(network, "_flow_domain", None)
-    if domain is not None and domain.alive:
-        domain.attach_flow(sender)
-        return True
-    if not resolve_fast(sender._fast):
-        _note_flow_fallback(network, sim, "disabled")
-        return False
-    tracer = sim.tracer
+def transit_refusal(network, clocks=()) -> Optional[str]:
+    """Why ``network``'s traffic cannot ride a flow-transit domain, or None.
+
+    The one eligibility rule for TCP flows and probe streams:
+
+    * ``"tracer"`` — a full tracer wants per-packet visibility (light
+      tracers keep the fast path);
+    * ``"impure-clock"`` — one of ``clocks`` (a stream's sender and
+      receiver clocks; flows pass none) draws an RNG per read, so reading
+      it in walk order would move the draws;
+    * ``"link-config"`` — a hook, qdisc or rebound ``deliver`` on any
+      forward or reverse link: the walk would skip their callbacks;
+    * ``"capacity-schedule"`` — a piecewise capacity schedule: the walk
+      hoists one rate per hop, and the per-packet path prices each
+      transmission start exactly.
+    """
+    tracer = network.sim.tracer
     if tracer is not None and not tracer.light:
-        _warn_tracer_fallback()
-        _note_flow_fallback(network, sim, "tracer")
-        return False
+        return "tracer"
+    for clock in clocks:
+        if (
+            getattr(clock, "_rng", None) is not None
+            or getattr(clock, "rng", None) is not None
+        ):
+            return "impure-clock"
     advance = network._advance
     for link in (*network.forward_links, *network.reverse_links):
         if (
@@ -1355,25 +1704,36 @@ def try_attach_flow(sender: "TCPSender") -> bool:
             or link._qdisc is not None
             or link._drop_hook is not None
         ):
-            _note_flow_fallback(network, sim, "link-config")
-            return False
+            return "link-config"
         if link._cap_sched is not None:
-            # The virtual-link walk hoists one capacity per hop and the
-            # round planner divides by it throughout; a piecewise
-            # schedule would need per-admission lookups in every branch.
-            # Rare enough that the per-packet path (which handles it
-            # exactly) is the right answer.
-            _note_flow_fallback(network, sim, "capacity-schedule")
-            return False
-    prev = network._plan
-    if prev is not None:
-        # A solo stream plan owns some hop agendas; fold/revoke it first
-        # (the flow's first per-packet send would have revoked it anyway,
-        # and under the same fallback label).
-        prev.retire_or_revoke("foreign-send")
-    domain = FlowTransitDomain(sim, network)
-    network._flow_domain = domain
-    domain.attach_flow(sender)
+            return "capacity-schedule"
+    return None
+
+
+def domain_of(network) -> FlowTransitDomain:
+    """This network's live flow-transit domain, created on first use."""
+    domain = network._flow_domain
+    if domain is None:
+        domain = network._flow_domain = FlowTransitDomain(network.sim, network)
+    return domain
+
+
+def try_attach_flow(sender: "TCPSender") -> bool:
+    """``TCPSender._begin`` seam: attach to (or create) this network's
+    flow-transit domain.  Returns True when attached; on False the caller
+    takes the per-packet path."""
+    network = sender.network
+    sim = sender.sim
+    if not resolve_fast(sender._fast):
+        _note_flow_fallback(network, sim, "disabled")
+        return False
+    reason = transit_refusal(network)
+    if reason is not None:
+        if reason == "tracer":
+            _warn_tracer_fallback()
+        _note_flow_fallback(network, sim, reason)
+        return False
+    domain_of(network).attach_flow(sender)
     return True
 
 

@@ -113,7 +113,6 @@ class Link:
         "_drop_hook",
         "_qdisc",
         "_agg",
-        "_agenda",
         "_owner",
         "_cap_sched",
         "_free_at",
@@ -148,10 +147,10 @@ class Link:
         self._drop_hook: Optional[Callable[[Packet], None]] = None
         self._qdisc = qdisc
         self._agg = None  # CrossAggregator once bulk sources attach
-        self._agenda = None  # HopAgenda while a planned probe stream transits
-        # FlowTransitDomain while one owns this link's queue state: its
-        # walk admits straight into ``_in_flight``/``_stats`` and writes
-        # ``_free_at``/``_backlog_bytes`` back at every round's end.
+        # FlowTransitDomain while one owns this link's queue state (TCP
+        # flows and probe streams): its walk admits straight into
+        # ``_in_flight``/``_stats`` and writes ``_free_at``/``_backlog_bytes``
+        # back at every round's end.
         self._owner = None
         self._cap_sched = None  # (boundaries, rates) piecewise-constant schedule
         self._free_at = 0.0  # when the transmitter becomes idle
@@ -177,7 +176,7 @@ class Link:
 
     @deliver.setter
     def deliver(self, fn: Optional[Callable[[Packet], None]]) -> None:
-        self._revoke_planners()
+        self._dissolve_owner()
         if self._agg is not None:
             self._decommission()
         self._deliver = fn
@@ -191,7 +190,7 @@ class Link:
 
     @drop_hook.setter
     def drop_hook(self, fn: Optional[Callable[[Packet], None]]) -> None:
-        self._revoke_planners()
+        self._dissolve_owner()
         if self._agg is not None:
             self._decommission()
         self._drop_hook = fn
@@ -204,16 +203,14 @@ class Link:
 
     @qdisc.setter
     def qdisc(self, policy) -> None:
-        self._revoke_planners()
+        self._dissolve_owner()
         if self._agg is not None:
             self._decommission()
         self._qdisc = policy
 
-    def _revoke_planners(self) -> None:
-        """Link-config chokepoint: revoke a planned probe stream crossing
-        this hop and dissolve a flow-transit domain owning it."""
-        if self._agenda is not None:
-            self._agenda.plan.revoke("link-decommission")
+    def _dissolve_owner(self) -> None:
+        """Link-config chokepoint: dissolve a flow-transit domain owning
+        this hop, handing its flows and streams to the per-packet path."""
         if self._owner is not None:
             self._owner.dissolve("link-decommission")
 
@@ -225,10 +222,9 @@ class Link:
 
         Without a schedule this is ``capacity_bps``.  With one, the rate
         switches at each boundary; an instant exactly on a boundary takes
-        the new rate.  Every data path — per-packet ``send()``, the bulk
-        folds, and the stream planner — serializes each packet at the
-        rate in force when its transmission *starts*, so they agree bit
-        for bit.
+        the new rate.  Both data paths — per-packet ``send()`` and the
+        bulk folds — serialize each packet at the rate in force when its
+        transmission *starts*, so they agree bit for bit.
         """
         sched = self._cap_sched
         if sched is None:
@@ -249,12 +245,12 @@ class Link:
         store-and-forward idealization of a rate change.
 
         Installing a schedule is a planning chokepoint like rebinding
-        ``deliver``: a planned probe stream in transit is revoked and
-        replayed per-packet (which also dissolves an attached flow
-        domain), because their plans assumed the old rate function.
-        Bulk cross traffic stays bulk — the folds look rates up per
-        segment.  Reinstalling replaces the previous schedule; the rate
-        currently in force becomes the rate before the first boundary.
+        ``deliver``: a flow-transit domain owning the link dissolves, and
+        its flows and probe streams continue per-packet, because its walk
+        assumed one rate per hop.  Bulk cross traffic stays bulk — the
+        folds look rates up per segment.  Reinstalling replaces the
+        previous schedule; the rate currently in force becomes the rate
+        before the first boundary.
         ``capacity_bps`` keeps the construction-time base rate (used by
         monitors' utilization normalization and AQM policies).
         """
@@ -272,7 +268,7 @@ class Link:
         bounds = [t for t, _ in pairs]
         if any(b >= a for b, a in zip(bounds, bounds[1:])):
             raise ValueError("segment boundaries must be strictly increasing")
-        self._revoke_planners()
+        self._dissolve_owner()
         # Fold everything due under the schedule in force until now; the
         # per-packet path would have admitted those arrivals before this
         # call ran, under the same (old) rate function.
@@ -284,7 +280,7 @@ class Link:
     @property
     def stats(self) -> LinkStats:
         """Cumulative counters, with pending bulk arrivals folded in first."""
-        if self._agg is not None or self._agenda is not None:
+        if self._agg is not None:
             self.sync()
         return self._stats
 
@@ -301,56 +297,14 @@ class Link:
         packets or scheduler events.  Idempotent and cheap when nothing is
         pending; called automatically at every foreground sync point.
 
-        While a planned probe stream transits this hop (``_agenda`` is
-        set), folding goes through :meth:`_sync_fg`, which interleaves the
-        agenda's precomputed admissions with the cross arrivals.  A
-        flow-transit domain owning the hop (``_owner``) needs no replay:
+        A flow-transit domain owning the hop (``_owner``) needs no replay:
         its walk admits straight into this state, so only the cross
         arrivals after its last admission are left to fold here.
         """
-        agenda = self._agenda
-        if agenda is not None:
-            t_now = self.sim.now if now is None else now
-            agg = self._agg
-            if (
-                t_now >= agenda.t_end
-                and agenda.idx == 0
-                and (agg is None or agg.idx == agenda.ci_start)
-                and self._tracer is None
-            ):
-                # Whole-stream fast-forward: no fold touched this hop while
-                # the stream was in transit (mid-stream folds advance a
-                # cursor; foreign sends revoke), so the planner's captured
-                # end state at ``t_end`` — identical floats, identical
-                # counter sums — applies wholesale.  Traced runs take the
-                # replay below so per-admission callbacks still fire.
-                self._free_at = agenda.end_free_at
-                self._backlog_bytes = agenda.end_backlog
-                in_flight = self._in_flight
-                in_flight.clear()
-                in_flight.extend(agenda.end_in_flight)
-                stats = self._stats
-                stats.bytes_forwarded += agenda.d_fwd_bytes
-                stats.packets_forwarded += agenda.d_fwd_pkts
-                stats.bytes_dropped += agenda.d_drop_bytes
-                stats.packets_dropped += agenda.d_drop_pkts
-                agenda.idx = len(agenda.times)
-                self._agenda = None
-                if agg is None:
-                    self._purge(t_now)
-                    return
-                # Fall through: cross arrivals in (t_end, now] still fold
-                # against the *t_end* queue state — their own per-arrival
-                # purges age it forward, exactly as the per-packet path.
-                agg.idx = agenda.ci_end
-            else:
-                self._sync_fg(t_now)
-                return
-        else:
-            agg = self._agg
-            if agg is None:
-                return
-            t_now = self.sim.now if now is None else now
+        agg = self._agg
+        if agg is None:
+            return
+        t_now = self.sim.now if now is None else now
         idx = agg.idx
         times = agg.times
         if idx >= times.shape[0] or times[idx] > t_now:
@@ -446,115 +400,6 @@ class Link:
         stats.packets_forwarded = fwd_pkts
         agg.compact()
 
-    def _sync_fg(self, t_now: float) -> None:
-        """Fold cross arrivals *and* planned probe admissions up to ``t_now``.
-
-        Same contract as :meth:`sync`, extended with the installed
-        :class:`~repro.netsim.streamtransit.HopAgenda`: entries are
-        interleaved in arrival order (exact-time ties go to cross traffic,
-        because ``send()`` folds cross arrivals ≤ now before admitting the
-        foreground packet) and agenda accepts reuse the planned completion
-        times, so the queue state after any fold is bit-identical to the
-        per-packet path's at the same instant.  Unlike the cross-only fold
-        this one purges per arrival and appends unconditionally — the
-        backlog each agenda entry observes is then exactly the value the
-        per-packet ``send()`` would have traced/tested; the trailing purge
-        makes the end state identical either way.
-        """
-        agenda = self._agenda
-        agg = self._agg
-        c_times = c_sizes = ()
-        ci = 0
-        cn = 0
-        if agg is not None:
-            ci0 = agg.idx
-            times = agg.times
-            if ci0 < times.shape[0] and times[ci0] <= t_now:
-                # Cross entries due by ``t_now``, walked as plain lists.
-                cn = int(times.searchsorted(t_now, side="right")) - ci0
-                c_times = times[ci0:ci0 + cn].tolist()
-                c_sizes = agg.sizes[ci0:ci0 + cn].tolist()
-        a_times = agenda.times
-        ai = agenda.idx
-        an = len(a_times)
-        if not cn and (ai >= an or a_times[ai] > t_now):
-            return
-        a_accepts = agenda.accepts
-        a_dones = agenda.dones
-        size = agenda.size
-        cap = self.capacity_bps
-        cap_sched = self._cap_sched
-        free_at = self._free_at
-        backlog = self._backlog_bytes
-        in_flight = self._in_flight
-        stats = self._stats
-        fwd_bytes = stats.bytes_forwarded
-        fwd_pkts = stats.packets_forwarded
-        drop_bytes = stats.bytes_dropped
-        drop_pkts = stats.packets_dropped
-        buffer_bytes = self.buffer_bytes
-        tracer = self._tracer
-        inf = float("inf")
-        while True:
-            c_t = c_times[ci] if ci < cn else inf
-            a_t = a_times[ai] if ai < an else inf
-            if c_t <= a_t:
-                t = c_t
-                if t > t_now:
-                    break
-                c_size = c_sizes[ci]
-                while in_flight and in_flight[0][0] <= t:
-                    backlog -= in_flight.popleft()[1]
-                if buffer_bytes is not None and backlog + c_size > buffer_bytes:
-                    drop_bytes += c_size
-                    drop_pkts += 1
-                else:
-                    start = free_at if free_at > t else t
-                    if cap_sched is not None:
-                        cap = cap_sched[1][bisect_right(cap_sched[0], start)]
-                    free_at = start + c_size * 8.0 / cap
-                    in_flight.append((free_at, c_size))
-                    backlog += c_size
-                    fwd_bytes += c_size
-                    fwd_pkts += 1
-                ci += 1
-            else:
-                t = a_t
-                if t > t_now:
-                    break
-                while in_flight and in_flight[0][0] <= t:
-                    backlog -= in_flight.popleft()[1]
-                if a_accepts is None or a_accepts[ai]:
-                    done = a_dones[ai]
-                    free_at = done
-                    in_flight.append((done, size))
-                    backlog += size
-                    fwd_bytes += size
-                    fwd_pkts += 1
-                    if tracer is not None:
-                        tracer.on_link_enqueue(self.name, backlog)
-                else:
-                    drop_bytes += size
-                    drop_pkts += 1
-                    if tracer is not None:
-                        self._backlog_bytes = backlog
-                        tracer.on_link_drop(self, agenda.proto, t)
-                ai += 1
-        while in_flight and in_flight[0][0] <= t_now:
-            backlog -= in_flight.popleft()[1]
-        self._free_at = free_at
-        self._backlog_bytes = backlog
-        stats.bytes_forwarded = fwd_bytes
-        stats.packets_forwarded = fwd_pkts
-        stats.bytes_dropped = drop_bytes
-        stats.packets_dropped = drop_pkts
-        if agg is not None:
-            agg.idx = ci0 + ci
-            agg.compact()
-        agenda.idx = ai
-        if ai >= an:
-            self._agenda = None
-
     def _decommission(self) -> None:
         """Flush due bulk arrivals, then revert every source to per-packet."""
         agg = self._agg
@@ -575,14 +420,14 @@ class Link:
 
     def backlog_bytes(self, now: Optional[float] = None) -> int:
         """Bytes queued or in transmission at time ``now`` (default: current)."""
-        if self._agg is not None or self._agenda is not None:
+        if self._agg is not None:
             self.sync()
         self._purge(self.sim.now if now is None else now)
         return self._backlog_bytes
 
     def queueing_delay(self, now: Optional[float] = None) -> float:
         """Time a zero-size arrival at ``now`` would wait before service."""
-        if self._agg is not None or self._agenda is not None:
+        if self._agg is not None:
             self.sync()
         t = self.sim.now if now is None else now
         return max(0.0, self._free_at - t)
@@ -606,14 +451,6 @@ class Link:
         """
         sim = self.sim
         now = sim.now
-        if self._agenda is not None:
-            # Universal interference chokepoint: *any* foreground send on a
-            # hop carrying a planned probe stream — TCP, ping, per-packet
-            # cross, another stream — invalidates the plan's no-interference
-            # assumption.  Revoking folds the plan's past, replays its
-            # future per-packet, and clears this link's agenda; the sample
-            # path from here on is what a never-planned run produces.
-            self._agenda.plan.revoke("foreign-send")
         # A flow-transit domain owning this hop needs nothing here: its
         # walk never runs past the next real event, this one included.
         if self._agg is not None:

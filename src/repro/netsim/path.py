@@ -58,15 +58,8 @@ class PathNetwork:
         self.sim = sim
         self.forward_links = tuple(forward_links)
         self.reverse_links = tuple(reverse_links)
-        # Stream-transit support (repro.netsim.streamtransit): the installed
-        # plan, if any, plus a count of per-packet foreground participants
-        # (TCP flows, pings, per-packet streams/cross sources).  A positive
-        # count makes the planner refuse upfront; correctness never depends
-        # on it — any unclaimed send still revokes at the link chokepoint.
-        self._plan = None
-        self._pp_claims = 0
         # Flow-transit support (repro.netsim.flowtransit): the live domain
-        # carrying planned TCP flows (and adopted probe streams), plus
+        # carrying planned TCP flows and probe streams, plus
         # programmatic counters — flows planned, per-packet fallbacks by
         # reason, and (t_attach, t_detach, flow_id, segments) spans.
         self._flow_domain = None
@@ -139,17 +132,6 @@ class PathNetwork:
         pkt.handler = handler
         pkt.created_at = self.sim.now
         return route[0].send(pkt)
-
-    def claim_per_packet(self) -> None:
-        """Note a per-packet foreground participant (TCP, ping, per-packet
-        probe stream or cross source) as active on this network.  While any
-        claim is held, new probe streams skip analytic planning — cheaper
-        than planning and immediately revoking at the first foreign send."""
-        self._pp_claims += 1
-
-    def release_per_packet(self) -> None:
-        """Release a :meth:`claim_per_packet` claim."""
-        self._pp_claims -= 1
 
     def flush(self) -> None:
         """Fold any pending bulk cross-traffic arrivals into every link.

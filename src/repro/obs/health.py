@@ -282,8 +282,8 @@ def _derive_hints(health: RunHealth) -> None:
     tracer_streams = health.stream_fallbacks.get("tracer", 0)
     if tracer_streams:
         hints.append(
-            f"{tracer_streams} probe stream(s) were rewound to per-packet by "
-            "a tracer-forced dissolve; --trace-light avoids the rewind"
+            f"{tracer_streams} probe stream(s) took the per-packet path under "
+            "a full tracer; --trace-light keeps them elided"
         )
     frac = health.elided_fraction
     if frac is not None and frac < 0.5 and health.probe_packets_total >= 1000:

@@ -62,22 +62,13 @@ class Pinger:
         self.sent = 0
         self.lost = 0
         self._outstanding: dict[int, float] = {}  # seq -> send time
-        self._pp_claimed = False  # network per-packet claim while probing
         sim.schedule_at(start, self._send_probe)
 
     # ------------------------------------------------------------------
     def _send_probe(self) -> None:
         now = self.sim.now
         if self.stop is not None and now >= self.stop:
-            if self._pp_claimed:
-                self._pp_claimed = False
-                self.network.release_per_packet()
             return
-        if not self._pp_claimed:
-            # Ping probes are per-packet foreground traffic; while probing,
-            # probe-stream transit planning would only be revoked anyway.
-            self._pp_claimed = True
-            self.network.claim_per_packet()
         seq = self.sent
         self.sent += 1
         self._outstanding[seq] = now

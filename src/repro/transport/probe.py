@@ -71,7 +71,7 @@ class _StreamRun:
         "done",
         "schedule",
         "plan",
-        "claimed",
+        "deadline",
     )
 
     def __init__(self, spec: StreamSpec, flow_id: str, t_start: float):
@@ -83,10 +83,11 @@ class _StreamRun:
         self.done = False
         #: sorted ``(send_time, seq)`` pairs — all jitter drawn up front
         self.schedule: list[tuple[float, int]] = []
-        #: installed StreamPlan while the fast path carries this stream
+        #: StreamPlan while the flow-transit domain carries this stream
         self.plan = None
-        #: True while this run holds a network per-packet claim
-        self.claimed = False
+        #: the scheduled deadline finalize; cancelled if the stream
+        #: finalizes before it
+        self.deadline = None
 
 
 class ProbeChannel:
@@ -104,10 +105,10 @@ class ProbeChannel:
         Latency for the receiver's measurement report to reach the sender;
         defaults to half the path's queueing-free RTT.
     fast:
-        Whether eligible streams take the analytic stream-transit path
-        (:mod:`repro.netsim.streamtransit`) — one scheduled event per
-        stream instead of one per packet per hop, bit-identical results.
-        ``None`` (default) enables it unless the environment sets
+        Whether eligible streams ride the flow-transit domain
+        (:mod:`repro.netsim.streamtransit`) — a virtual walk instead of
+        one event per packet per hop, bit-identical results.  ``None``
+        (default) enables it unless the environment sets
         ``REPRO_NO_FAST=1``.
     """
 
@@ -135,11 +136,9 @@ class ProbeChannel:
         #: cumulative probe traffic accounting (intrusiveness studies)
         self.packets_sent = 0
         self.bytes_sent = 0
-        #: streams carried by the analytic fast path / per-packet fallbacks
+        #: streams carried by the flow-transit domain / per-packet fallbacks
         self.fastpath_streams = 0
         self.fastpath_fallbacks: dict[str, int] = {}
-        # One shadow verification per channel under Simulator(sanitize=True).
-        self._shadow_checked = False
         # Cached tracer: the nil path costs one None-check per stream.
         self._tracer = sim.tracer
         # Per-channel stream ids: flow labels (and hence trace tracks) are
@@ -206,8 +205,6 @@ class ProbeChannel:
         if plan is None and schedule:
             # Per-packet path: one self-rescheduling sender callback — a
             # single outstanding heap entry per in-flight stream, not K.
-            run.claimed = True
-            self.network.claim_per_packet()
             self.sim.schedule_at(schedule[0][0], self._send_next, run, 0, done)
         # Deadline: everything should have drained well before
         # last send + slack; stragglers after it count as lost.
@@ -216,7 +213,9 @@ class ProbeChannel:
             + spec.n_packets * spec.packet_size * 8.0 / self.network.capacity_bps
             + 0.05
         )
-        self.sim.schedule_at(t0 + spec.duration + slack, self._finalize, run, done)
+        run.deadline = self.sim.schedule_at(
+            t0 + spec.duration + slack, self._finalize, run, done
+        )
         return done
 
     def _send_next(self, run: _StreamRun, i: int, done: Event) -> None:
@@ -253,10 +252,10 @@ class ProbeChannel:
             ).inc()
 
     def _fast_complete(self, run: _StreamRun, done: Event) -> None:
-        """Planned delivery of the stream-closing packet (seq K-1).
+        """Walked delivery of the stream-closing packet (seq K-1).
 
-        Commits every planned record delivered up to and including now —
-        later planned deliveries are stragglers, lost exactly as on the
+        Commits every walked record delivered up to and including now —
+        later deliveries are stragglers, lost exactly as on the
         per-packet path — then finalizes.
         """
         if run.done:
@@ -264,28 +263,7 @@ class ProbeChannel:
         plan = run.plan
         if plan is not None:
             plan.commit(self.sim.now, inclusive=True)
-            plan.commit_closed = True
-            run.plan = None
         self._finalize(run, done)
-
-    def _replay_exit(
-        self, run: _StreamRun, s: float, seq: int, hop: int, done: Event
-    ) -> None:
-        """Revocation continuation: re-materialize an in-flight planned
-        packet at its committed transmission exit from ``hop`` and let the
-        ordinary event-driven machinery carry it the rest of the way."""
-        pkt = Packet(
-            run.spec.packet_size,
-            flow_id=run.flow_id,
-            seq=seq,
-            kind=PacketKind.PROBE,
-            created_at=s,
-            sender_stamp=self.sender_clock.read(s),
-        )
-        pkt.route = self.network.forward_links
-        pkt.hop = hop
-        pkt.handler = lambda p, run=run, done=done: self._on_arrival(run, p, done)
-        self.network._advance(pkt)
 
     def _on_arrival(self, run: _StreamRun, pkt: Packet, done: Event) -> None:
         if run.done:
@@ -306,18 +284,18 @@ class ProbeChannel:
             return
         plan = run.plan
         if plan is not None:
-            # Deadline finalize with the plan still open.  Strictly-before
-            # commit: a planned delivery at exactly the deadline instant
-            # pops *after* the deadline event (which was inserted at stream
-            # start) on the per-packet path, so it is straggler-lost there
-            # — and therefore here.
+            # Strictly-before commit (a no-op after _fast_complete's): on a
+            # deadline finalize, a walked delivery at exactly the deadline
+            # instant pops *after* the deadline event (which was inserted
+            # at stream start) on the per-packet path, so it is
+            # straggler-lost there — and therefore here.
             plan.commit(self.sim.now, inclusive=False)
-            plan.commit_closed = True
             run.plan = None
+            plan.domain.finish_stream(plan)
         run.done = True
-        if run.claimed:
-            run.claimed = False
-            self.network.release_per_packet()
+        # A finalized stream's deadline would be a no-op; cancelling it
+        # keeps it from bounding the next stream's flow-transit rounds.
+        run.deadline.cancel()
         measurement = StreamMeasurement(
             spec=run.spec,
             records=run.records,

@@ -273,9 +273,8 @@ class TCPSender:
         self._in_flight: dict[int, Optional[float]] = {}
         self._stopped = False
         self._completed = False
-        self._pp_claimed = False  # holds a network per-packet claim while active
         # Flow-transit fast path: resolved at _begin; while attached the
-        # domain owns this flow's events and no per-packet claim is held.
+        # domain owns this flow's events.
         self._fast = fast
         self._ft: Optional["flowtransit.FlowTransitDomain"] = None
         self._ft_fs = None
@@ -309,20 +308,8 @@ class TCPSender:
 
     def _begin(self) -> None:
         if not self._stopped and self._ft is None:
-            if flowtransit.try_attach_flow(self):
-                self._try_send()
-                return
-        # Claim only at the effective start time: a flow scheduled for
-        # t=60 s must not block stream-transit planning before then.
-        if not self._pp_claimed and not self._stopped:
-            self._pp_claimed = True
-            self.network.claim_per_packet()
+            flowtransit.try_attach_flow(self)
         self._try_send()
-
-    def _release_claim(self) -> None:
-        if self._pp_claimed:
-            self._pp_claimed = False
-            self.network.release_per_packet()
 
     def stop(self) -> None:
         """Stop a persistent connection: no new data, timers cancelled."""
@@ -330,7 +317,6 @@ class TCPSender:
             self._ft.on_flow_stop(self)
         self._stopped = True
         self._cancel_rto()
-        self._release_claim()
 
     @property
     def cwnd_log(self) -> list[tuple[float, float]]:
@@ -418,7 +404,6 @@ class TCPSender:
         ):
             self._completed = True
             self._cancel_rto()
-            self._release_claim()
             if self.on_complete is not None:
                 self.on_complete(self)
 

@@ -12,10 +12,10 @@ eligibility breaks (link decommission while an RTO timer is pending)
 must land on a sample path identical to a run that never planned.
 
 The headline regression here is intrusiveness (paper Section VII /
-figs 17-18): a *planned* foreground TCP flow no longer claims the
-network for per-packet operation, so concurrent SLoPS probe streams are
-adopted into the domain's walk instead of being refused with
-``foreground-active``.
+figs 17-18): concurrent SLoPS probe streams ride the same domain walk as
+the foreground TCP flows.  A solo stream is a domain with zero flows, so
+a flow starting mid-stream joins it, and per-packet traffic beside a
+domain (a ``fast=False`` flow, a pinger) refuses nothing.
 """
 
 import os
@@ -211,8 +211,8 @@ class TestEquality:
 # ----------------------------------------------------------------------
 class TestProbeCoexistence:
     def test_probe_not_refused_while_flow_planned(self):
-        # The regression this PR exists for: with the foreground flow
-        # planner-managed, probe streams are adopted, not refused.
+        # With the foreground flow in the domain, probe streams are
+        # adopted into the same walk, not refused.
         kwargs = dict(n_streams=3, utilization=0.3, total_bytes=2_000_000)
         stf, sf, mf, netf, chf = run_flow(True, **kwargs)
         assert chf.fastpath_streams == 3
@@ -223,27 +223,45 @@ class TestProbeCoexistence:
         assert sf == ss
         assert mf == ms
 
-    def test_per_packet_flow_still_refuses_probes(self):
-        # A flow that genuinely runs per-packet (fast=False) claims the
-        # network, so probe planning must still fall back.
-        sim = Simulator()
-        rng = np.random.default_rng(7)
-        setup = build_single_hop_path(sim, 10e6, 0.3, rng)
-        net = setup.network
-        open_connection(
-            sim, net, config=TCPConfig(min_rto=0.5), total_bytes=2_000_000,
-            start=0.0, fast=False,
-        )
-        chan = ProbeChannel(sim, net, fast=True)
-        spec = StreamSpec(rate_bps=4e6, packet_size=300, n_packets=40)
-        sim.schedule_at(0.05, lambda: chan.send_stream(spec))
-        sim.run(until=5.0)
-        assert chan.fastpath_streams == 0
-        assert chan.fastpath_fallbacks == {"foreground-active": 1}
+    def test_per_packet_flow_keeps_probe_elision(self):
+        # A flow that genuinely runs per-packet (fast=False) sends through
+        # the hops of a zero-flow domain carrying the stream; the walk is
+        # exact beside it, so the stream stays elided and matches ==.
+        def run(fast):
+            sim = Simulator()
+            setup = build_single_hop_path(
+                sim, 10e6, 0.3, np.random.default_rng(7)
+            )
+            net = setup.network
+            snd, rcv = open_connection(
+                sim, net, config=TCPConfig(min_rto=0.5),
+                total_bytes=2_000_000, start=0.0, fast=False,
+            )
+            chan = ProbeChannel(sim, net, fast=fast)
+            spec = StreamSpec(rate_bps=4e6, packet_size=300, n_packets=40)
+            out = []
+            sim.schedule_at(
+                0.05,
+                lambda: chan.send_stream(spec).add_callback(
+                    lambda m: out.append(
+                        tuple((r.seq, r.sender_stamp, r.recv_stamp) for r in m.records)
+                    )
+                ),
+            )
+            sim.run(until=5.0)
+            return out, flow_state(snd, rcv), chan, net
 
-    def test_flow_attach_revokes_solo_stream_plan(self):
-        # Probe stream planned solo first; the TCP flow attaching mid-
-        # stream revokes it under the familiar "foreign-send" label, and
+        outf, stf, chf, netf = run(True)
+        outs, sts, _, _ = run(False)
+        assert outf == outs
+        assert stf == sts
+        assert chf.fastpath_streams == 1
+        assert not chf.fastpath_fallbacks
+        assert netf._ft_flows == 0
+
+    def test_flow_attach_joins_solo_stream_domain(self):
+        # A solo stream is a domain with zero flows; a TCP flow starting
+        # mid-stream attaches to that same domain, nothing falls back, and
         # the sample path still matches per-packet exactly.
         def run(fast):
             sim = Simulator()
@@ -267,12 +285,14 @@ class TestProbeCoexistence:
                 total_bytes=200_000, start=1.0123457, fast=fast,
             )
             sim.run(until=10.0)
-            return out, flow_state(snd, rcv), chan
-        outf, stf, chf = run(True)
-        outs, sts, _ = run(False)
+            return out, flow_state(snd, rcv), chan, net
+        outf, stf, chf, netf = run(True)
+        outs, sts, _, _ = run(False)
         assert outf == outs
         assert stf == sts
-        assert chf.fastpath_fallbacks.get("foreign-send") == 1
+        assert chf.fastpath_streams == 1
+        assert not chf.fastpath_fallbacks
+        assert netf._ft_flows == 1
 
 
 # ----------------------------------------------------------------------
@@ -404,10 +424,13 @@ class TestFigurePointRun:
 # ----------------------------------------------------------------------
 # Link state at arbitrary real instants
 # ----------------------------------------------------------------------
-def observed_link_state(buffer_bytes, utilization, n_flows, ping_interval, instants):
-    """Reno flows plus a pinger on one finite-buffer hop; at each of
-    ``instants`` a real event reads every link's stats, backlog and
-    transmitter clock."""
+def observed_link_state(
+    buffer_bytes, utilization, n_flows, ping_interval, instants, streams=()
+):
+    """Reno flows, probe streams sent at ``streams`` (possibly
+    overlapping) and a pinger on one hop (``buffer_bytes=None``: an
+    infinite buffer); at each of ``instants`` a real event reads every
+    link's stats, backlog and transmitter clock."""
     sim = Simulator()
     if utilization > 0.0:
         setup = build_single_hop_path(
@@ -427,6 +450,18 @@ def observed_link_state(buffer_bytes, utilization, n_flows, ping_interval, insta
         for i in range(n_flows)
     ]
     Pinger(sim, net, interval=ping_interval, start=0.0123)
+    chan = ProbeChannel(sim, net)
+    spec = StreamSpec(rate_bps=4e6, packet_size=300, n_packets=40)
+    received = []
+    for t in streams:
+        sim.schedule_at(
+            t,
+            lambda: chan.send_stream(spec).add_callback(
+                lambda m: received.append(
+                    tuple((r.seq, r.sender_stamp, r.recv_stamp) for r in m.records)
+                )
+            ),
+        )
     links = (*net.forward_links, *net.reverse_links)
     samples = []
 
@@ -445,27 +480,33 @@ def observed_link_state(buffer_bytes, utilization, n_flows, ping_interval, insta
     for t in instants:
         sim.schedule_at(t, observe)
     sim.run(until=3.0)
-    return samples, tuple(flow_state(s, r) for s, r in flows), net
+    flow_states = tuple(flow_state(s, r) for s, r in flows)
+    return samples, (flow_states, received), net, chan
 
 
 class TestObservedLinkState:
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(
-        buffer_bytes=st.sampled_from([12_000, 40_000]),
+        buffer_bytes=st.sampled_from([None, 12_000, 40_000]),
         utilization=st.sampled_from([0.0, 0.4]),
-        n_flows=st.integers(1, 2),
+        n_flows=st.integers(0, 2),
         ping_interval=st.sampled_from([0.05, 0.1003]),
         instants=st.lists(
             st.floats(0.001, 2.999, allow_nan=False), min_size=1, max_size=8
         ),
+        streams=st.lists(
+            st.floats(0.01, 2.5, allow_nan=False), min_size=0, max_size=3
+        ),
     )
     def test_reads_equal_per_packet(
-        self, buffer_bytes, utilization, n_flows, ping_interval, instants
+        self, buffer_bytes, utilization, n_flows, ping_interval, instants,
+        streams,
     ):
-        args = (buffer_bytes, utilization, n_flows, ping_interval, instants)
-        samples_fast, flows_fast, net = observed_link_state(*args)
+        args = (buffer_bytes, utilization, n_flows, ping_interval, instants, streams)
+        samples_fast, out_fast, net, chan = observed_link_state(*args)
         assert net._ft_flows == n_flows
+        assert chan.fastpath_streams == len(streams)
         with mock.patch.dict(os.environ, {"REPRO_NO_FAST": "1"}):
-            samples_slow, flows_slow, _ = observed_link_state(*args)
+            samples_slow, out_slow, _, _ = observed_link_state(*args)
         assert samples_fast == samples_slow
-        assert flows_fast == flows_slow
+        assert out_fast == out_slow

@@ -367,9 +367,10 @@ class TestVectorization:
             if l.module == module and l.function == function and l.label == label
         ]
 
-    def test_plan_stream_infinite_buffer_loop_is_vector_safe(self, loops):
+    def test_stream_sweep_infinite_buffer_loop_is_vector_safe(self, loops):
         safe = self._find(
-            loops, "repro.netsim.streamtransit", "plan_stream", "VECTOR-SAFE"
+            loops, "repro.netsim.flowtransit", "FlowTransitDomain._sweep_hop",
+            "VECTOR-SAFE",
         )
         annotated = [l for l in safe if l.annotated]
         # The general interleaved walk plus its specialized cross-free twin.
@@ -393,7 +394,7 @@ class TestVectorization:
 
     def test_drop_tail_counterparts_are_unsafe_with_reasons(self, loops):
         for module, function in (
-            ("repro.netsim.streamtransit", "plan_stream"),
+            ("repro.netsim.flowtransit", "FlowTransitDomain._sweep_hop"),
             ("repro.netsim.link", "Link.sync"),
         ):
             unsafe = self._find(loops, module, function, "VECTOR-UNSAFE")
@@ -435,6 +436,31 @@ class TestMutationAcceptance:
         )
         findings = lint_source(source, str(path))
         assert any(f.rule_id == "SIM002" for f in findings)
+
+    def test_stale_transit_guards_are_caught(self):
+        # SIM009's guard cross-checks: the shared eligibility rule must
+        # read every private hook attribute, and the Link setters must
+        # dissolve an owning domain.
+        path = REPO_ROOT / "src" / "repro" / "netsim" / "flowtransit.py"
+        source = path.read_text()
+        assert lint_source(source, str(path)) == []
+        stale = source.replace("or link._qdisc is not None", "", 1)
+        assert stale != source
+        findings = lint_source(stale, str(path))
+        assert any(
+            f.rule_id == "SIM009" and "transit_refusal" in f.message
+            for f in findings
+        )
+        path = REPO_ROOT / "src" / "repro" / "netsim" / "link.py"
+        source = path.read_text()
+        stale = source.replace(
+            'self._owner.dissolve("link-decommission")', "pass", 1
+        )
+        assert stale != source
+        findings = lint_source(stale, str(path))
+        assert any(
+            f.rule_id == "SIM009" and "dissolve" in f.message for f in findings
+        )
 
     def test_print_in_engine_py_is_caught(self):
         path = REPO_ROOT / "src" / "repro" / "netsim" / "engine.py"

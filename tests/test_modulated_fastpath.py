@@ -174,7 +174,7 @@ class TestNoFallbacksOnDefaultModulatedTopology:
         # planned streams — without a single fallback increment.
         from repro.obs import Tracer
 
-        tracer = Tracer()
+        tracer = Tracer(light=True)
         sim = Simulator()
         tracer.attach(sim)
         rng = np.random.default_rng(31)

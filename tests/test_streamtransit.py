@@ -1,20 +1,20 @@
-"""Equivalence tests for the event-elided probe-stream transit.
+"""Equivalence tests for event-elided probe streams.
 
-The stream-transit fast path's contract is *bit identity*: on every
-eligible configuration, :class:`PacketRecord` stamps, link stats, monitor
+A probe stream rides the flow-transit domain (a solo stream is a domain
+with zero flows), and the contract is *bit identity*: on every eligible
+configuration, :class:`PacketRecord` stamps, link stats, monitor
 samples, and pathload reports must equal — with ``==``, not ``approx`` —
-what the per-packet path produces, because the planner evaluates the same
+what the per-packet path produces, because the domain evaluates the same
 per-hop Lindley recursion in the same floating-point order.  Ineligible
-configurations (qdiscs, RNG-bearing clocks, active foreground flows) must
-fall back automatically, and mid-stream eligibility breaks (a TCP flow
-attaching, a link decommission) must revoke the plan onto the per-packet
-machinery with an identical sample path.
+configurations (qdiscs, RNG-bearing clocks, capacity schedules, full
+tracers) must fall back automatically; per-packet foreground traffic (a
+``fast=False`` TCP flow, a pinger) refuses nothing; and
+mid-stream eligibility breaks (a link decommission, a schedule install)
+must dissolve the domain onto the per-packet machinery with an identical
+sample path.
 
-One deliberate contract caveat (documented in docs/performance.md): an
-*exact-time tie* between a foreign flow's first send and a planned probe
-send resolves probe-first on the fast path, while the per-packet order
-depends on event-heap insertion history.  Interference times in these
-tests are therefore off-grid, as any real configuration's are.
+Interference times in these tests are off the probe-send grid, as any
+real configuration's are.
 """
 
 import numpy as np
@@ -196,12 +196,26 @@ class TestBitEquality:
         assert chf.fastpath_streams == rf.n_streams_sent
         assert not chf.fastpath_fallbacks
 
+    def test_per_packet_foreground_flow_keeps_elision(self):
+        # A fast=False TCP flow started before the first stream sends
+        # per-packet through the stream's hops all along; the domain's
+        # cap-bounded walk is exact beside it, so streams stay elided.
+        kwargs = dict(
+            tcp_at=1.50007, tcp_bytes=30_000_000, tcp_fast=False,
+            n_streams=2, utilization=0.3,
+        )
+        mf, sf, _, chan, _ = run_streams(True, **kwargs)
+        assert chan.fastpath_streams == 2
+        assert not chan.fastpath_fallbacks
+        assert chan.network._ft_flows == 0
+        ms, ss, _, _, _ = run_streams(False, **kwargs)
+        assert mf == ms and sf == ss
+
     def test_mid_stream_monitor_read_uses_interleaved_fold(self):
-        # Reads landing inside the stream window advance the agenda fold
-        # cursor mid-plan, which also disables the wholesale fast-forward:
-        # both fold flavours must reproduce the per-packet queue state.
-        # Off the send grid (multiples of the 0.3 ms period) — exact-time
-        # ties against probe sends are outside the identity contract.
+        # Reads landing inside the stream window are real events, so they
+        # split the domain's walk into rounds: each read must see the
+        # per-packet queue state.  Off the send grid (multiples of the
+        # 0.3 ms period), as any real configuration's reads are.
         times = (2.0051234, 2.0087071, 2.0123777)
         mf, sf, bf, _, _ = run_streams(
             True, utilization=0.6, monitor_at=times, n_streams=2
@@ -240,10 +254,10 @@ class TestCapacitySchedule:
         ms, ss, _, chs, _ = run_streams(False, **kwargs)
         assert mf == ms
         assert sf == ss
-        # Planning stays engaged: the walks look the rate up per
-        # admission instead of refusing the hop.
-        assert chf.fastpath_streams == len(mf)
-        assert not chf.fastpath_fallbacks
+        # The domain walk hoists one rate per hop, so a scheduled link
+        # takes the per-packet path, which prices each start exactly.
+        assert chf.fastpath_streams == 0
+        assert chf.fastpath_fallbacks == {"link-config": len(mf)}
         assert chs.fastpath_streams == 0
 
     def test_scheduled_link_shadow_verify_passes(self):
@@ -251,13 +265,16 @@ class TestCapacitySchedule:
             True, utilization=0.5, sanitize=True,
             cap_install=(1.0, self.SEGMENTS),
         )
-        assert chf._shadow_checked
-        assert chf.fastpath_streams == len(mf)
+        mu, su, _, _, _ = run_streams(
+            True, utilization=0.5, cap_install=(1.0, self.SEGMENTS)
+        )
+        assert (mf, sf) == (mu, su)
+        assert chf.fastpath_fallbacks == {"link-config": len(mf)}
 
     def test_install_mid_stream_revokes_then_matches(self):
-        # Installing a schedule while a planned stream is in transit is a
-        # planning chokepoint: the plan is revoked (its walk assumed the
-        # old rate function) and the remainder replays per-packet.
+        # Installing a schedule while a stream is in the domain is a
+        # planning chokepoint: the domain dissolves (its walk assumed one
+        # rate per hop), rewinding the stream onto the per-packet path.
         segments = ((2.00791234, 6e6), (2.01321234, 14e6))
         kwargs = dict(
             utilization=0.4, cap_install=(2.00512345, segments)
@@ -301,20 +318,6 @@ class TestRefusal:
         assert chan.fastpath_streams == 0
         assert chan.fastpath_fallbacks == {"impure-clock": 2}
 
-    def test_active_foreground_flow_refuses_planning(self):
-        # A *per-packet* TCP flow attached before the first stream claims
-        # the network the whole time, so planning is refused.  (A planner-
-        # managed flow no longer claims — probe coexistence with planned
-        # flows is covered in tests/test_flowtransit.py.)
-        kwargs = dict(
-            tcp_at=1.50007, tcp_bytes=30_000_000, tcp_fast=False,
-            n_streams=2, utilization=0.3,
-        )
-        mf, sf, _, chan, _ = run_streams(True, **kwargs)
-        assert chan.fastpath_streams == 0
-        assert "foreground-active" in chan.fastpath_fallbacks
-        ms, ss, _, _, _ = run_streams(False, **kwargs)
-        assert mf == ms and sf == ss
 
 
 # ----------------------------------------------------------------------
@@ -323,27 +326,30 @@ class TestRefusal:
 class TestRevocation:
     @pytest.mark.parametrize("tcp_at", [2.0123457, 2.0300003])
     def test_tcp_attach_mid_stream(self, tcp_at):
-        # The TCP handshake's first segment hits a planned hop mid-stream
-        # (off-grid instant): the plan revokes, in-flight packets replay at
-        # their committed exit times, the unsent suffix re-enters the
-        # self-rescheduling sender — and every observable matches.
+        # A TCP flow starting mid-stream (off-grid instant) attaches to the
+        # stream's domain: the walk carries both from then on, nothing
+        # falls back, and every observable matches.
         kwargs = dict(
             tcp_at=tcp_at, n_streams=1, n_packets=200, buffer_bytes=25_000,
             utilization=0.3,
         )
         mf, sf, _, chan, _ = run_streams(True, **kwargs)
-        assert chan.fastpath_fallbacks.get("foreign-send") == 1
+        assert chan.fastpath_streams == 1
+        assert not chan.fastpath_fallbacks
+        assert chan.network._ft_flows == 1
         ms, ss, _, _, _ = run_streams(False, **kwargs)
         assert mf == ms
         assert sf == ss
 
     def test_pathload_with_tcp_crossfire(self):
-        # The crossfire flow runs per-packet so its first segment is a
-        # foreign send that revokes at least one installed stream plan.
+        # A per-packet crossfire flow sends through the domain's hops
+        # between rounds: the cap-bounded walk stays exact, so every
+        # stream is elided and the report is ==.
         rf, sf, chf = run_quick_pathload(True, tcp_at=2.01003, tcp_fast=False)
         rs, ss, _ = run_quick_pathload(False, tcp_at=2.01003, tcp_fast=False)
         assert rf == rs and sf == ss
-        assert chf.fastpath_fallbacks.get("foreign-send", 0) >= 1
+        assert chf.fastpath_streams == rf.n_streams_sent
+        assert not chf.fastpath_fallbacks
 
     def test_deadline_finalize_with_drops(self):
         # A stream over its own tiny drop-tail buffer: the closing packet
@@ -364,16 +370,24 @@ class TestRevocation:
 # Observability: tracing, digests, counters
 # ----------------------------------------------------------------------
 class TestObservability:
-    def test_traced_report_equals_untraced(self):
+    def test_traced_report_equals_untraced(self, monkeypatch):
+        from repro.netsim import flowtransit
         from repro.obs import Tracer
 
-        tracer = Tracer()
+        tracer = Tracer(light=True)
         rt, st, _ = run_quick_pathload(True, tracer=tracer)
         ru, su, _ = run_quick_pathload(True)
         assert rt == ru
         assert st == su
         streams = tracer.metrics.counter("repro_fastpath_streams_total")
         assert streams.value == rt.n_streams_sent
+        # A full tracer wants every per-packet callback: streams take the
+        # per-packet path with reason "tracer", and the report is ==.
+        monkeypatch.setattr(flowtransit, "_warned_tracer", True)  # silence
+        rf, sf, chf = run_quick_pathload(True, tracer=Tracer())
+        assert rf == ru and sf == su
+        assert chf.fastpath_streams == 0
+        assert chf.fastpath_fallbacks == {"tracer": rf.n_streams_sent}
 
     def test_traced_digest_reproducible_within_mode(self):
         from repro.obs import Tracer
@@ -414,26 +428,34 @@ class TestSanitize:
         _, _, _, _, sim2 = run_streams(True, utilization=0.5, sanitize=True)
         assert sim1.digest() == sim2.digest()
 
-    def test_shadow_runs_once_per_channel(self):
-        _, _, _, chan, _ = run_streams(True, utilization=0.5, sanitize=True)
-        assert chan._shadow_checked is True
-        _, _, _, chan, _ = run_streams(True, utilization=0.5, sanitize=False)
-        assert chan._shadow_checked is False
+    def test_sanitize_verifies_every_stream_round(self, monkeypatch):
+        from repro.netsim.flowtransit import FlowTransitDomain
+
+        calls = []
+        verify = FlowTransitDomain._verify_round
+
+        def counting(self, snaps):
+            calls.append(len(snaps))
+            return verify(self, snaps)
+
+        monkeypatch.setattr(FlowTransitDomain, "_verify_round", counting)
+        checked = run_streams(True, utilization=0.5, sanitize=True)
+        assert len(calls) >= len(checked[0])
+        plain = run_streams(True, utilization=0.5)
+        assert checked[:2] == plain[:2]
 
     def test_shadow_detects_planner_corruption(self, monkeypatch):
-        import repro.netsim.streamtransit as st
+        from repro.netsim.flowtransit import FlowTransitDomain
 
-        # The planner feeds exit times through ``_exit_t``; nudging the
-        # first one must trip the shadow verifier.
-        orig_prop = st.HopAgenda.exit_pairs.fget
+        # A hop sweep that leaves the transmitter clock one nanosecond
+        # off must fail the round's replay of its admission log.
+        sweep_hop = FlowTransitDomain._sweep_hop
 
-        def bad_exit_pairs(self):
-            if self._exit_pairs is None and self._exit_t:
-                self._exit_t = [self._exit_t[0] + 1e-9] + self._exit_t[1:]
-            return orig_prop(self)
+        def corrupted(self, vl, ts, ix, size):
+            out = sweep_hop(self, vl, ts, ix, size)
+            vl.free_at += 1e-9
+            return out
 
-        monkeypatch.setattr(
-            st.HopAgenda, "exit_pairs", property(bad_exit_pairs)
-        )
-        with pytest.raises(SimulationError, match="shadow"):
+        monkeypatch.setattr(FlowTransitDomain, "_sweep_hop", corrupted)
+        with pytest.raises(SimulationError, match="flow-transit shadow check"):
             run_streams(True, utilization=0.5, sanitize=True, n_streams=1)
