@@ -166,7 +166,7 @@ _FLOWTRANSIT_MODULE = "repro.netsim.flowtransit"
 _STATE_MOVER_METHODS = frozenset({
     "schedule", "schedule_at", "process", "send", "inject_at",
     "send_forward", "send_reverse", "interrupt", "decommission",
-    "_decommission", "sync", "revoke",
+    "_decommission", "sync", "_advance", "revoke",
 })
 
 

@@ -89,8 +89,9 @@ class CrossAggregator:
 
     The aggregator owns the link's flat admission queue — ``times`` /
     ``sizes`` / ``owner`` (float64 / int64 / intp arrays; ``owner`` is
-    each entry's feed registration index), consumed by :meth:`Link.sync`
-    via ``idx`` — and the single refill-horizon event that extends it.
+    each entry's feed registration index), consumed by the link's fold
+    (:meth:`Link._advance`) via ``idx`` — and the single refill-horizon
+    event that extends it.
     Entries are merged only up to the *safe horizon* — the earliest
     last-buffered time over all still-active sources — so a source
     refilling later can never insert an arrival behind one already
@@ -98,9 +99,9 @@ class CrossAggregator:
 
     Merges only append (the three arrays are views of doubling buffers),
     and :meth:`compact` is the only operation that shifts indices: the
-    flow-transit domain's cursor into the queue (``vci``) relies on
-    that.  Read the attributes afresh
-    after anything that may merge.
+    flow-transit domain's round-start snapshot of ``idx`` relies on
+    that, so only :meth:`Link.sync` and round starts compact.  Read the
+    attributes afresh after anything that may merge.
     """
 
     __slots__ = (

@@ -11,11 +11,13 @@ domain with zero flows.  The core loop is the per-hop Lindley recursion
 ``start = max(arrival, free_at); done = start + size*8/C`` of the
 paper's path model (Section III-A), merged against each hop's
 :class:`~repro.netsim.bulkarrivals.CrossAggregator` arrays, with exact
-drop-tail replay on finite buffers.  Feedback traffic (data -> ack ->
-cwnd growth -> more data) interleaves by walking the virtual heap in
-timestamp order; a round that carries one lone probe stream and nothing
-else sweeps it hop by hop instead (:meth:`FlowTransitDomain._sweep`),
-with the vector kernel on long infinite-buffer hops.
+drop-tail replay on finite buffers — the hop's one fold,
+:meth:`Link._advance <repro.netsim.link.Link._advance>`.  Feedback
+traffic (data -> ack -> cwnd growth -> more data) interleaves by walking
+the virtual heap in timestamp order, admitting one packet at a time
+after folding the cross arrivals due; a round that carries one lone
+probe stream and nothing else sweeps it hop by hop instead
+(:meth:`FlowTransitDomain._sweep`), one fold per hop.
 
 Correctness rests on one invariant — the **cap-bounded walk**:
 
@@ -24,10 +26,10 @@ Correctness rests on one invariant — the **cap-bounded walk**:
   callback can therefore observe — or interfere with — virtual state
   that lies in its own future; there is no speculation and no rollback.
 * While attached, the domain *owns* its links' queue state (it is each
-  link's ``_owner``): the walk admits straight into the link's in-flight
-  deque and ``LinkStats``, folds the cross arrivals it passes exactly
-  once, and writes the transmitter clock, backlog and cross cursor back
-  at the end of every round.  Every walked admission lies before the
+  link's ``_owner``): the walk reads and writes the link's transmitter
+  clock, in-flight deque, backlog, ``LinkStats`` and cross cursor
+  directly, folding the cross arrivals it passes exactly once; there is
+  no second copy to load or write back.  Every walked admission lies before the
   next real event, so at any real sync point — a foreign ``Link.send``
   (ping, per-packet cross, a per-packet flow or stream), a monitor's
   ``stats`` read, a backlog query — the link already holds the
@@ -66,12 +68,10 @@ import math
 import warnings
 from bisect import bisect_left, bisect_right
 from collections import deque
-from itertools import repeat
 from operator import attrgetter
 from typing import TYPE_CHECKING, Optional
 
 from ..core.probing import PacketRecord
-from . import kernels
 from .engine import SimulationError
 from .fastpath import resolve_fast
 from .packet import Packet, PacketKind
@@ -210,38 +210,6 @@ class _FlowVNet:
         return True
 
 
-class _VLink:
-    """One link's queue state as the walk sees it.
-
-    ``infl`` *is* the link's ``_in_flight`` deque and admissions add to
-    its ``LinkStats`` directly; the transmitter clock, backlog and cross
-    cursor are cached here for the walk — re-read at every round's start
-    (after ``link.sync()``) and written back at its end.  ``log`` holds
-    the round's ``(t, size, accepted, done)`` admissions under
-    ``Simulator(sanitize=True)`` only.
-    """
-
-    __slots__ = (
-        "link",
-        "stats",
-        "cap",
-        "prop",
-        "buffer_bytes",
-        "agg",
-        "free_at",
-        "backlog",
-        "infl",
-        "vci",
-        "log",
-    )
-
-    def __init__(self, link):
-        self.link = link
-        self.stats = link._stats
-        self.infl = link._in_flight
-        self.log = None
-
-
 class _FlowState:
     """Domain-side bookkeeping for one attached TCP flow."""
 
@@ -307,8 +275,7 @@ class StreamPlan:
         self.sched = sched
         self.n = n = run.spec.n_packets
         self.size = run.spec.packet_size
-        vls = domain._vl
-        self.fwdv = fwdv = tuple(vls[link] for link in channel.network.forward_links)
+        self.fwdv = fwdv = tuple(channel.network.forward_links)
         # A lone-stream round may sweep hop by hop only when the closing
         # packet is the last one sent (so its delivery is the stream's
         # last event) and no hop repeats (so hops hold independent state).
@@ -388,7 +355,7 @@ class FlowTransitDomain:
         "_vnow",
         "_limit",
         "_walking",
-        "_vl",
+        "_logs",
         "_round_call",
         "_pmin",
     )
@@ -407,14 +374,14 @@ class FlowTransitDomain:
         self._walking = False
         self._round_call = None
         self._pmin = _INF
-        # One virtual link per distinct link (forward and reverse may share
-        # hops in exotic topologies; dedupe preserves order).
+        # Per-link admission logs of the round under sanitize, else None.
+        self._logs = None
+        # Forward and reverse may share hops in exotic topologies; dedupe
+        # preserves order.
         links = tuple(dict.fromkeys((*network.forward_links, *network.reverse_links)))
         self.links = links
-        self._vl = {}
         for link in links:
             link._owner = self
-            self._vl[link] = _VLink(link)
 
     # ------------------------------------------------------------------
     # Virtual scheduling
@@ -427,16 +394,16 @@ class FlowTransitDomain:
             self._kick(time)
         return vt
 
-    def _send(self, vlinks, size, tail) -> None:
+    def _send(self, links, size, tail) -> None:
         if self._walking:
-            self._hop_admit(vlinks, 0, self._vnow, size, tail)
+            self._hop_admit(links, 0, self._vnow, size, tail)
         else:
             # Out-of-walk send (e.g. the initial burst from ``start()``):
             # defer admission into a round at the same instant, so it is
             # computed against freshly synced link state.
             t = self.sim._now
             self._vseq = q = self._vseq + 1
-            heapq.heappush(self._vheap, (t, q, K_XMIT, vlinks, size, tail))
+            heapq.heappush(self._vheap, (t, q, K_XMIT, links, size, tail))
             self._kick(t)
 
     def _defer(self, fn, *args):
@@ -459,122 +426,60 @@ class FlowTransitDomain:
         self._round_call = self.sim.schedule_at(t, self._round)
 
     # ------------------------------------------------------------------
-    # The Lindley admission core
+    # Single-packet admission
     # ------------------------------------------------------------------
-    def _fold_cross(self, vl: _VLink, t: float) -> None:
-        """Fold cross arrivals <= ``t`` into ``vl``'s queue state, winning
-        exact ties, with the same per-arrival purge, drop-tail decision
-        and stats ``Link.sync`` applies."""
-        agg = vl.agg
-        if agg._horizon < t:
-            agg.extend_until(t)
-        times = agg.times
-        ci = vl.vci
-        if ci >= times.shape[0] or times[ci] > t:
-            return
-        cut = int(times.searchsorted(t, side="right"))
-        free_at = vl.free_at
-        backlog = vl.backlog
-        infl = vl.infl
-        stats = vl.stats
-        cap = vl.cap
-        buffer_bytes = vl.buffer_bytes
-        if (
-            buffer_bytes is None
-            and cut - ci >= kernels.MIN_BATCH
-            and kernels.enabled(self.sim.vector)
-        ):
-            # Infinite buffer: the whole slice folds unconditionally, so
-            # the vector Lindley kernel applies.  The scalar loop's final
-            # state is "every entry completing after the last folded
-            # arrival, plus the purge/backlog that implies" — exactly the
-            # kernel's ``keep_after = tc_last`` contract.
-            tc_last = float(times[cut - 1])
-            ts, ss = agg.arrays(ci, cut)
-            folded = kernels.fold_slice(free_at, ts, ss, cap, tc_last, True)
-            if folded is not None:
-                free_at, kept, kept_bytes, fold_bytes = folded
-                while infl and infl[0][0] <= tc_last:
-                    backlog -= infl.popleft()[1]
-                infl.extend(kept)
-                stats.bytes_forwarded += fold_bytes
-                stats.packets_forwarded += cut - ci
-                vl.vci = cut
-                vl.free_at = free_at
-                vl.backlog = backlog + kept_bytes
-                return
-        fwd_bytes = drop_bytes = drop_pkts = 0
-        for tc, sz in zip(times[ci:cut].tolist(), agg.sizes[ci:cut].tolist()):
-            while infl and infl[0][0] <= tc:
-                backlog -= infl.popleft()[1]
-            if buffer_bytes is not None and backlog + sz > buffer_bytes:
-                drop_bytes += sz
-                drop_pkts += 1
-            else:
-                start = free_at if free_at > tc else tc
-                free_at = start + sz * 8.0 / cap
-                infl.append((free_at, sz))
-                backlog += sz
-                fwd_bytes += sz
-        stats.bytes_forwarded += fwd_bytes
-        stats.packets_forwarded += cut - ci - drop_pkts
-        if drop_pkts:
-            stats.bytes_dropped += drop_bytes
-            stats.packets_dropped += drop_pkts
-        vl.vci = cut
-        vl.free_at = free_at
-        vl.backlog = backlog
-
-    def _admit(self, vl: _VLink, t: float, size: int) -> Optional[float]:
-        """Admit ``size`` bytes at ``vl`` at time ``t``; return the
+    def _admit(self, link, t: float, size: int) -> Optional[float]:
+        """Admit ``size`` bytes at ``link`` at time ``t``; return the
         transmission-complete time, or ``None`` on a drop-tail drop.
 
         The accounting ``Link.send`` performs for a packet sent at ``t``:
-        cross arrivals <= t first (winning exact ties), the in-flight
-        purge, the drop-tail decision, then the admission and its stats.
+        cross arrivals <= t first (:meth:`Link._advance`, winning exact
+        ties), the in-flight purge, the drop-tail decision, then the
+        admission and its stats.
         """
-        if vl.agg is not None:
-            self._fold_cross(vl, t)
-        backlog = vl.backlog
-        infl = vl.infl
+        if link._agg is not None:
+            link._advance(t)
+        backlog = link._backlog_bytes
+        infl = link._in_flight
         while infl and infl[0][0] <= t:
             backlog -= infl.popleft()[1]
-        stats = vl.stats
-        buffer_bytes = vl.buffer_bytes
+        stats = link._stats
+        buffer_bytes = link.buffer_bytes
+        logs = self._logs
         if buffer_bytes is not None and backlog + size > buffer_bytes:
-            vl.backlog = backlog
+            link._backlog_bytes = backlog
             stats.bytes_dropped += size
             stats.packets_dropped += 1
-            if vl.log is not None:
-                vl.log.append((t, size, False, 0.0))
+            if logs is not None:
+                logs[link].append((t, size, False, 0.0))
             return None
-        free_at = vl.free_at
+        free_at = link._free_at
         start = free_at if free_at > t else t
-        done = start + size * 8.0 / vl.cap
+        done = start + size * 8.0 / link.capacity_bps
         infl.append((done, size))
-        vl.free_at = done
-        vl.backlog = backlog + size
+        link._free_at = done
+        link._backlog_bytes = backlog + size
         stats.bytes_forwarded += size
         stats.packets_forwarded += 1
-        if vl.log is not None:
-            vl.log.append((t, size, True, done))
+        if logs is not None:
+            logs[link].append((t, size, True, done))
         return done
 
-    def _hop_admit(self, vlinks, hop: int, t: float, size: int, tail) -> None:
-        vl = vlinks[hop]
-        done = self._admit(vl, t, size)
+    def _hop_admit(self, links, hop: int, t: float, size: int, tail) -> None:
+        link = links[hop]
+        done = self._admit(link, t, size)
         if done is None:
             return  # dropped: the packet silently vanishes, as on a real path
-        t_out = done + vl.prop
+        t_out = done + link.prop_delay
         self._vseq = q = self._vseq + 1
         hop += 1
-        if hop < len(vlinks):
-            heapq.heappush(self._vheap, (t_out, q, K_ADMIT, vlinks, hop, size, tail))
+        if hop < len(links):
+            heapq.heappush(self._vheap, (t_out, q, K_ADMIT, links, hop, size, tail))
         else:
             heapq.heappush(self._vheap, (t_out, q) + tail)
 
     # ------------------------------------------------------------------
-    # The round: read link state, walk, write it back, reschedule
+    # The round: bring link state to now, walk, reschedule
     # ------------------------------------------------------------------
     def _round(self) -> None:
         self._round_call = None
@@ -611,13 +516,11 @@ class FlowTransitDomain:
             return
         lone = self._lone_stream()
         if lone is None:
-            vls = self._vl.values()
-            snaps = self._load(vls, True)
+            snaps = self._load(self.links, True)
         else:
             # The sweep folds every cross arrival it passes itself, those
             # due by now included, so its links need no sync first.
-            vls = lone.fwdv
-            snaps = self._load(vls, False)
+            snaps = self._load(lone.fwdv, False)
         self._walking = True
         self._vnow = now
         self._limit = cap
@@ -630,12 +533,6 @@ class FlowTransitDomain:
             if self._pmin < _INF:
                 self._flush_pending()
             self._walking = False
-            for vl in vls:
-                link = vl.link
-                link._free_at = vl.free_at
-                link._backlog_bytes = vl.backlog
-                if vl.agg is not None:
-                    vl.agg.idx = vl.vci
         if snaps is not None:
             self._verify_round(snaps)
         if not self.alive:
@@ -647,39 +544,32 @@ class FlowTransitDomain:
         else:
             self._maybe_retire()
 
-    def _load(self, vls, sync: bool):
-        """Read ``vls``' queue state for a round (syncing their links first
-        when ``sync``); return the round-start snapshots under sanitize,
-        else None."""
-        snaps = [] if self.sim._sanitize else None
-        for vl in vls:
-            link = vl.link
-            if sync:
-                link.sync()
-            vl.cap = link.capacity_bps
-            vl.prop = link.prop_delay
-            vl.buffer_bytes = link.buffer_bytes
-            vl.free_at = link._free_at
-            vl.backlog = link._backlog_bytes
+    def _load(self, links, sync: bool):
+        """Prepare ``links`` for a round: sync them when ``sync`` and trim
+        their merged queues (the walk's folds advance the cursor without
+        compacting, since the shadow check slices by index).  Under
+        sanitize, open the round's admission logs and return the
+        round-start snapshots; else return None."""
+        snaps = None
+        if self.sim._sanitize:
+            snaps = []
+            self._logs = {}
+        for link in links:
             agg = link._agg
-            vl.agg = agg
-            if agg is not None:
-                # The walk's folds advance the cursor without compacting
-                # (the shadow check slices by index), so trim here.
+            if sync:
+                link.sync()  # compacts too
+            elif agg is not None:
                 agg.compact()
-                vl.vci = agg.idx
-            else:
-                vl.vci = 0
             if snaps is not None:
-                vl.log = []
+                self._logs[link] = []
                 snaps.append(
                     (
-                        vl,
-                        vl.free_at,
-                        vl.backlog,
-                        tuple(vl.infl),
-                        vl.vci,
-                        _stat_counts(vl.stats),
+                        link,
+                        link._free_at,
+                        link._backlog_bytes,
+                        tuple(link._in_flight),
+                        0 if agg is None else agg.idx,
+                        _stat_counts(link._stats),
                     )
                 )
         return snaps
@@ -768,6 +658,7 @@ class FlowTransitDomain:
         nh = len(fwdv)
         sched = plan.sched
         size = plan.size
+        logs = self._logs
         # Carried-over arrivals per hop; index nh holds receiver deliveries.
         pend: list[list] = [[] for _ in range(nh + 1)]
         send = None
@@ -835,7 +726,16 @@ class FlowTransitDomain:
                 if not ts:
                     continue
             if h < nh:
-                ts, ix = self._sweep_hop(fwdv[h], ts, ix, size)
+                # One hop's fold; what is left here is its exits.
+                link = fwdv[h]
+                dones = link._advance(
+                    ts[-1], ts, size, None if logs is None else logs[link]
+                )
+                if link.buffer_bytes is not None:  # drops come back None
+                    ix = [i for i, d in zip(ix, dones) if d is not None]
+                    dones = [d for d in dones if d is not None]
+                prop = link.prop_delay
+                ts = [d + prop for d in dones]
                 continue
             # The receiver: what _ev_sdeliv does per delivery.
             records_append = plan.records.append
@@ -859,156 +759,6 @@ class FlowTransitDomain:
                     plan.channel._fast_complete, plan.run, plan.done
                 )
         heapq.heapify(vheap)
-
-    def _sweep_hop(self, vl: _VLink, ts: list, ix: list, size: int):
-        """Admit one hop's sorted stream arrivals ``ts`` (schedule indices
-        ``ix``) with the cross arrivals they pass; return the accepted
-        packets' exit times and indices.
-
-        The same accounting :meth:`_admit` performs per arrival: cross
-        arrivals first on exact-time ties, the in-flight purge, the
-        drop-tail decision, the admission and its stats.  Infinite
-        buffers defer the purge to the hop's last arrival ``t_end``
-        (nothing can drop, and completion times are monotone on a FIFO
-        link), and fold long hops with :func:`kernels.plan_hop`.
-        """
-        t_end = ts[-1]
-        agg = vl.agg
-        ci = vl.vci
-        cn = 0
-        if agg is not None:
-            if agg._horizon < t_end:
-                agg.extend_until(t_end)
-            times = agg.times
-            if ci < times.shape[0] and times[ci] <= t_end:
-                cn = int(times[ci:].searchsorted(t_end, side="right"))
-        free_at = vl.free_at
-        backlog = vl.backlog
-        infl = vl.infl
-        cap = vl.cap
-        prop = vl.prop
-        tx = size * 8.0 / cap
-        log = vl.log
-        buffer_bytes = vl.buffer_bytes
-        n = len(ts)
-        fwd_bytes = fwd_pkts = drop_bytes = drop_pkts = 0
-        if buffer_bytes is None:
-            planned = None
-            big_enough = (
-                cn + n >= kernels.MIN_BATCH if cn else n >= kernels.MIN_PROBES
-            )
-            if big_enough and kernels.enabled(self.sim.vector):
-                ct, cs = agg.arrays(ci, ci + cn) if cn else (None, None)
-                planned = kernels.plan_hop(
-                    free_at, ct, cs, ts, size, cap, t_end, prop, True
-                )
-            if planned is not None:
-                dones, xt, kept, free_at, fwd_bytes = planned
-            else:
-                dones = []
-                xt = []
-                kept = []
-                kept_append = kept.append
-                dones_append = dones.append
-                xt_append = xt.append
-                if not cn:
-                    # No cross arrivals due on this hop: only the probes'
-                    # own spacing matters — the bare Lindley chain.
-                    for t in ts:  # simlint: vector-safe
-                        start = free_at if free_at > t else t
-                        free_at = start + tx
-                        if free_at > t_end:
-                            kept_append((free_at, size))
-                        dones_append(free_at)
-                        xt_append(free_at + prop)
-                else:
-                    c_times = agg.times[ci:ci + cn].tolist()
-                    c_sizes = agg.sizes[ci:ci + cn].tolist()
-                    k = 0
-                    for t in ts:  # simlint: vector-safe
-                        while k < cn:
-                            tc = c_times[k]
-                            if tc > t:
-                                break
-                            sz = c_sizes[k]
-                            start = free_at if free_at > tc else tc
-                            free_at = start + sz * 8.0 / cap
-                            if free_at > t_end:
-                                kept_append((free_at, sz))
-                            fwd_bytes += sz
-                            k += 1
-                        start = free_at if free_at > t else t
-                        free_at = start + tx
-                        if free_at > t_end:
-                            kept_append((free_at, size))
-                        dones_append(free_at)
-                        xt_append(free_at + prop)
-                fwd_bytes += size * n
-            fwd_pkts = cn + n
-            while infl and infl[0][0] <= t_end:
-                backlog -= infl.popleft()[1]
-            infl.extend(kept)
-            for _, sz in kept:
-                backlog += sz
-            if log is not None:
-                log.extend(zip(ts, repeat(size), repeat(True), dones))
-            xi = ix
-        else:
-            # Exact drop-tail replay: per-arrival purge, cross folded
-            # first on exact-time ties, then the probe's own admission.
-            xt = []
-            xi = []
-            if cn:
-                c_times = agg.times[ci:ci + cn].tolist()
-                c_sizes = agg.sizes[ci:ci + cn].tolist()
-            k = 0
-            for t, i in zip(ts, ix):
-                while k < cn:
-                    tc = c_times[k]
-                    if tc > t:
-                        break
-                    sz = c_sizes[k]
-                    while infl and infl[0][0] <= tc:
-                        backlog -= infl.popleft()[1]
-                    if backlog + sz > buffer_bytes:
-                        drop_bytes += sz
-                        drop_pkts += 1
-                    else:
-                        start = free_at if free_at > tc else tc
-                        free_at = start + sz * 8.0 / cap
-                        infl.append((free_at, sz))
-                        backlog += sz
-                        fwd_bytes += sz
-                        fwd_pkts += 1
-                    k += 1
-                while infl and infl[0][0] <= t:
-                    backlog -= infl.popleft()[1]
-                if backlog + size > buffer_bytes:
-                    drop_bytes += size
-                    drop_pkts += 1
-                    if log is not None:
-                        log.append((t, size, False, 0.0))
-                else:
-                    start = free_at if free_at > t else t
-                    free_at = start + tx
-                    infl.append((free_at, size))
-                    backlog += size
-                    fwd_bytes += size
-                    fwd_pkts += 1
-                    if log is not None:
-                        log.append((t, size, True, free_at))
-                    xt.append(free_at + prop)
-                    xi.append(i)
-        stats = vl.stats
-        stats.bytes_forwarded += fwd_bytes
-        stats.packets_forwarded += fwd_pkts
-        if drop_pkts:
-            stats.bytes_dropped += drop_bytes
-            stats.packets_dropped += drop_pkts
-        vl.vci = ci + cn
-        vl.free_at = free_at
-        vl.backlog = backlog
-        return xt, xi
 
     def _flush_pending(self) -> None:
         """Move live postponed RTO timers onto the virtual heap.
@@ -1126,7 +876,7 @@ class FlowTransitDomain:
         hdr = fs.hdr
         fwdv = fs.fwdv
         single = len(fwdv) == 1
-        vl0 = fwdv[0]
+        link0 = fwdv[0]
         sent = 0
         vseq = self._vseq
         if single:
@@ -1134,17 +884,18 @@ class FlowTransitDomain:
             # so the cross fold and the in-flight purge _admit would repeat
             # per segment collapse to one pass; appended departures all
             # finish strictly after ``t`` and can never re-trigger either.
-            if vl0.agg is not None:
-                self._fold_cross(vl0, t)
-            l_infl = vl0.infl
-            backlog = vl0.backlog
+            if link0._agg is not None:
+                link0._advance(t)
+            l_infl = link0._in_flight
+            backlog = link0._backlog_bytes
             while l_infl and l_infl[0][0] <= t:
                 backlog -= l_infl.popleft()[1]
-            free_at = vl0.free_at
-            cap = vl0.cap
-            buffer_bytes = vl0.buffer_bytes
-            prop = vl0.prop
-            log = vl0.log
+            free_at = link0._free_at
+            cap = link0.capacity_bps
+            buffer_bytes = link0.buffer_bytes
+            prop = link0.prop_delay
+            logs = self._logs
+            log = None if logs is None else logs[link0]
             fwd_bytes = fwd_pkts = drop_bytes = drop_pkts = 0
         while snd_nxt - ack + mss <= window:
             if total is not None:
@@ -1195,9 +946,9 @@ class FlowTransitDomain:
             if snd_nxt > high:
                 high = snd_nxt
         if single:
-            vl0.free_at = free_at
-            vl0.backlog = backlog
-            stats = vl0.stats
+            link0._free_at = free_at
+            link0._backlog_bytes = backlog
+            stats = link0._stats
             stats.bytes_forwarded += fwd_bytes
             stats.packets_forwarded += fwd_pkts
             if drop_pkts:
@@ -1251,36 +1002,37 @@ class FlowTransitDomain:
         revv = fs.revv
         if len(revv) == 1:
             # Inline of _admit for the common single-hop reverse path.
-            vl0 = revv[0]
-            if vl0.agg is not None:
-                self._fold_cross(vl0, t)
-            infl0 = vl0.infl
-            backlog = vl0.backlog
+            link0 = revv[0]
+            if link0._agg is not None:
+                link0._advance(t)
+            infl0 = link0._in_flight
+            backlog = link0._backlog_bytes
             while infl0 and infl0[0][0] <= t:
                 backlog -= infl0.popleft()[1]
             size = fs.ack_size
-            stats = vl0.stats
-            buffer_bytes = vl0.buffer_bytes
+            stats = link0._stats
+            buffer_bytes = link0.buffer_bytes
+            logs = self._logs
             if buffer_bytes is not None and backlog + size > buffer_bytes:
-                vl0.backlog = backlog
+                link0._backlog_bytes = backlog
                 stats.bytes_dropped += size
                 stats.packets_dropped += 1
-                if vl0.log is not None:
-                    vl0.log.append((t, size, False, 0.0))
+                if logs is not None:
+                    logs[link0].append((t, size, False, 0.0))
             else:
-                free_at = vl0.free_at
+                free_at = link0._free_at
                 start = free_at if free_at > t else t
-                done = start + size * 8.0 / vl0.cap
+                done = start + size * 8.0 / link0.capacity_bps
                 infl0.append((done, size))
-                vl0.backlog = backlog + size
-                vl0.free_at = done
+                link0._backlog_bytes = backlog + size
+                link0._free_at = done
                 stats.bytes_forwarded += size
                 stats.packets_forwarded += 1
-                if vl0.log is not None:
-                    vl0.log.append((t, size, True, done))
+                if logs is not None:
+                    logs[link0].append((t, size, True, done))
                 self._vseq = q = self._vseq + 1
                 heapq.heappush(
-                    self._vheap, (done + vl0.prop, q, K_ACK, fs, rcv_nxt)
+                    self._vheap, (done + link0.prop_delay, q, K_ACK, fs, rcv_nxt)
                 )
         else:
             self._hop_admit(revv, 0, t, fs.ack_size, (K_ACK, fs, rcv_nxt))
@@ -1355,9 +1107,8 @@ class FlowTransitDomain:
         network = self.network
         fs.sender = sender
         fs.receiver = receiver
-        vls = self._vl
-        fs.fwdv = tuple(vls[link] for link in network.forward_links)
-        fs.revv = tuple(vls[link] for link in network.reverse_links)
+        fs.fwdv = tuple(network.forward_links)
+        fs.revv = tuple(network.reverse_links)
         fs.hdr = cfg.header_bytes
         fs.mss = cfg.mss
         fs.adv = float(cfg.advertised_window_bytes)
@@ -1523,14 +1274,14 @@ class FlowTransitDomain:
             sim.schedule_at(t, target, pkt)
         elif k == K_ADMIT:
             hop = ev[4]
-            links = tuple(vl.link for vl in ev[3])
+            links = ev[3]
             pkt, target = self._pkt_from_tail(ev[6])
             pkt.route = links
             pkt.hop = hop
             pkt.handler = target
             sim.schedule_at(t, links[hop].send, pkt)
         elif k == K_XMIT:
-            links = tuple(vl.link for vl in ev[3])
+            links = ev[3]
             pkt, target = self._pkt_from_tail(ev[5])
             pkt.route = links
             pkt.hop = 0
@@ -1606,23 +1357,25 @@ class FlowTransitDomain:
         """Independently replay this round's admission log per hop from
         the round-start snapshot and raise :class:`SimulationError` on any
         divergence from what the walk admitted, dropped and counted."""
-        for vl, free_at, backlog, infl0, vci0, stats0 in snaps:
-            log = vl.log
-            vl.log = None
-            if not log and vl.vci == vci0:
+        logs = self._logs
+        self._logs = None
+        for link, free_at, backlog, infl0, vci0, stats0 in snaps:
+            log = logs[link]
+            agg = link._agg
+            vci = 0 if agg is None else agg.idx
+            if not log and vci == vci0:
                 continue
-            agg = vl.agg
             if agg is not None:
-                cross_t = agg.times[vci0:vl.vci].tolist()
-                cross_s = agg.sizes[vci0:vl.vci].tolist()
+                cross_t = agg.times[vci0:vci].tolist()
+                cross_s = agg.sizes[vci0:vci].tolist()
             else:
                 cross_t = cross_s = []
             cross = [(tc, 0, k) for k, tc in enumerate(cross_t)]
             fg = [(entry[0], 1, i) for i, entry in enumerate(log)]
             infl = deque(infl0)
-            cap = vl.cap
-            buffer_bytes = vl.buffer_bytes
-            link_name = vl.link.name
+            cap = link.capacity_bps
+            buffer_bytes = link.buffer_bytes
+            link_name = link.name
             fwd_bytes, fwd_pkts, drop_bytes, drop_pkts = stats0
             for t, tag, i in heapq.merge(cross, fg):
                 while infl and infl[0][0] <= t:
@@ -1655,12 +1408,12 @@ class FlowTransitDomain:
                             f"admission {i} done {free_at!r} != recorded "
                             f"{log[i][3]!r}"
                         )
-            if free_at != vl.free_at:  # simlint: disable=SIM003 -- bit-identity shadow check
+            if free_at != link._free_at:  # simlint: disable=SIM003 -- bit-identity shadow check
                 raise SimulationError(
                     f"flow-transit shadow check: hop {link_name!r} end "
-                    f"free_at {free_at!r} != walked {vl.free_at!r}"
+                    f"free_at {free_at!r} != walked {link._free_at!r}"
                 )
-            counted = _stat_counts(vl.stats)
+            counted = _stat_counts(link._stats)
             if counted != (fwd_bytes, fwd_pkts, drop_bytes, drop_pkts):
                 raise SimulationError(
                     f"flow-transit shadow check: hop {link_name!r} stats "

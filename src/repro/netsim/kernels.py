@@ -102,10 +102,10 @@ MIN_BATCH = 1024
 #: collapses to one of the two closed forms (all-idle when R ≤ C,
 #: all-busy when R > C) — a handful of vector passes regardless of load,
 #: which beats the scalar walk from far fewer elements than the general
-#: scan does.  The competition is the planner's specialized cross-free
-#: Lindley chain (no tuple traffic at all), which the closed forms only
-#: outrun once the fixed ~12 µs of numpy dispatches amortizes — measured
-#: crossover ≈220 probes on the reference host.
+#: scan does.  The competition is ``Link._advance``'s scalar loop on a
+#: hop with no cross arrival due (a bare Lindley chain), which the closed
+#: forms only outrun once the fixed ~12 µs of numpy dispatches amortizes
+#: — measured crossover ≈220 probes on the reference host.
 MIN_PROBES = 256
 
 #: Busy-period depths the segmented scan resolves with one vector add
@@ -733,9 +733,8 @@ def fold_slice(free_at, times, sizes, cap, keep_after, vector: Optional[bool] = 
     Returns ``(end_free_at, kept, kept_bytes, fold_bytes)`` where
     ``kept`` lists the ``(completion, size)`` pairs still in flight after
     ``keep_after`` — or None when the kernel declines and the caller must
-    run its scalar loop.  Used by ``Link.sync``'s infinite-buffer fold
-    (``keep_after = t_now``) and ``flowtransit._fold_cross``
-    (``keep_after`` = the last folded arrival time).
+    run its scalar loop.  Used by ``Link._advance``'s cross-only
+    infinite-buffer fold (``keep_after`` = the instant it folds up to).
     """
     if not enabled(vector):
         return None

@@ -26,12 +26,14 @@ Bulk-eligible cross traffic costs **no per-packet events at all**: sources
 deposit batched absolute-arrival arrays with the link's
 :class:`~repro.netsim.bulkarrivals.CrossAggregator`, and :meth:`Link.sync`
 folds every arrival with timestamp ≤ now into ``_free_at``, the backlog
-ledger, and :class:`LinkStats` — in arrival order, with the exact Lindley
-scan of :mod:`repro.netsim.kernels` or a tight loop over plain
-floats/ints — before any foreground ``send()``, any
+ledger, and :class:`LinkStats` before any foreground ``send()``, any
 ``backlog_bytes()``/``queueing_delay()`` read, and any ``stats`` access.
 Foreground packets therefore observe exactly the queue state the
-per-packet path would have produced.  Installing a ``qdisc``, a
+per-packet path would have produced.  The fold is :meth:`Link._advance`,
+the hop's one batch Lindley recursion (the exact scan of
+:mod:`repro.netsim.kernels` or a tight loop over plain floats/ints); the
+flow-transit walk calls it too, with the probe arrivals a lone-stream
+sweep merges into it.  Installing a ``qdisc``, a
 ``drop_hook``, or a new ``deliver`` callback on a link that carries bulk
 traffic automatically reverts its sources to the per-packet path (the
 future sample path is unchanged; see ``docs/performance.md``).
@@ -273,7 +275,7 @@ class Link:
         # per-packet path would have admitted those arrivals before this
         # call ran, under the same (old) rate function.
         if self._agg is not None:
-            self.sync(now)
+            self.sync()
         base = self.capacity_at(now)
         self._cap_sched = (bounds, [base] + [c for _, c in pairs])
 
@@ -287,118 +289,189 @@ class Link:
     # ------------------------------------------------------------------
     # Bulk cross-traffic admission (the event-elided data path)
     # ------------------------------------------------------------------
-    def sync(self, now: Optional[float] = None) -> None:
-        """Fold pending bulk cross-traffic arrivals into the queue state.
+    def sync(self) -> None:
+        """Fold pending bulk cross-traffic arrivals due by now into the
+        queue state (:meth:`_advance` up to now), then trim the consumed
+        prefix of the merged queue.
 
-        Replays, in arrival order, every merged arrival with timestamp ≤
-        ``now`` (default: current simulated time) through exactly the
-        accounting ``send()`` performs — transmitter clock, in-flight
-        deque, backlog, drop-tail decision, stats — without creating
-        packets or scheduler events.  Idempotent and cheap when nothing is
-        pending; called automatically at every foreground sync point.
-
-        A flow-transit domain owning the hop (``_owner``) needs no replay:
-        its walk admits straight into this state, so only the cross
-        arrivals after its last admission are left to fold here.
+        Idempotent and cheap when nothing is pending; called automatically
+        at every foreground sync point.  A flow-transit domain owning the
+        hop (``_owner``) admits straight into this state, so only the
+        cross arrivals after its last admission are left to fold here.
         """
         agg = self._agg
         if agg is None:
             return
-        t_now = self.sim.now if now is None else now
-        idx = agg.idx
-        times = agg.times
-        if idx >= times.shape[0] or times[idx] > t_now:
-            return
-        hi = int(times.searchsorted(t_now, side="right"))
-        cap = self.capacity_bps
-        cap_sched = self._cap_sched
+        now = self.sim._now
+        # Merged coverage lags now only while a source registered at this
+        # instant awaits its deferred merge; none of its arrivals is due.
+        if agg._horizon >= now:
+            self._advance(now)
+        agg.compact()
+
+    def _advance(self, t: float, fg_times=(), fg_size: int = 0, log=None):
+        """The hop's Lindley fold (Section III-A) up to instant ``t``.
+
+        Admits, in time order, every merged cross arrival with timestamp
+        ≤ ``t`` and the sorted foreground arrivals ``fg_times`` (all ≤
+        ``t``, ``fg_size`` bytes each), cross first on exact-time ties —
+        the order the per-packet path runs their events in.  Each arrival
+        gets the accounting ``send()`` gives a packet: the transmitter
+        clock ``start = max(arrival, free_at); done = start + size*8/C``
+        (at the rate in force at ``start`` under a capacity schedule),
+        the in-flight deque and backlog, the drop-tail decision on a
+        finite buffer, and the stats.  On an infinite buffer nothing can
+        drop, so the in-flight purge is deferred to ``t`` (completions
+        are monotone on a FIFO link) and long batches go to the exact
+        vector kernels.  The deque leaves purged to ``t``.
+
+        Returns the foreground completion times in arrival order (None
+        for a drop-tail drop) and appends ``(arrival, size, accepted,
+        done)`` per foreground arrival to ``log`` when one is given.  The
+        cross cursor ``agg.idx`` advances without compaction (the
+        flow-transit shadow check slices by it); :meth:`sync` compacts.
+        """
+        agg = self._agg
+        nc = 0
+        if agg is not None:
+            if agg._horizon < t:
+                agg.extend_until(t)
+            times = agg.times
+            ci = agg.idx
+            if ci < times.shape[0] and times[ci] <= t:
+                nc = int(times.searchsorted(t, side="right")) - ci
+        nf = len(fg_times)
+        if not (nc or nf):
+            return ()
+        if nc:
+            ct, cs = agg.arrays(ci, ci + nc)
+            agg.idx = ci + nc
         free_at = self._free_at
         backlog = self._backlog_bytes
         in_flight = self._in_flight
         stats = self._stats
-        fwd_bytes = stats.bytes_forwarded
-        fwd_pkts = stats.packets_forwarded
+        cap = self.capacity_bps
+        cap_sched = self._cap_sched
         buffer_bytes = self.buffer_bytes
+        drop_bytes = drop_pkts = 0
         folded = None
         if (
             buffer_bytes is None
-            and hi - idx >= kernels.MIN_BATCH
+            and (nc + nf >= kernels.MIN_BATCH if nc else nf >= kernels.MIN_PROBES)
             and kernels.enabled(self.sim.vector)
         ):
-            ts, ss = agg.arrays(idx, hi)
-            if cap_sched is None:
-                folded = kernels.fold_slice(free_at, ts, ss, cap, t_now, True)
+            if nf:
+                if cap_sched is None:
+                    planned = kernels.plan_hop(
+                        free_at, ct if nc else None, cs if nc else None,
+                        fg_times, fg_size, cap, t, self.prop_delay, True,
+                    )
+                    if planned is not None:
+                        dones, _exits, kept, end, fwd_bytes = planned
+                        folded = (end, kept, sum(sz for _, sz in kept), fwd_bytes)
+            elif cap_sched is None:
+                folded = kernels.fold_slice(free_at, ct, cs, cap, t, True)
             else:
                 folded = kernels.fold_slice_segmented(
-                    free_at, ts, ss, cap_sched[0], cap_sched[1], t_now, True
+                    free_at, ct, cs, cap_sched[0], cap_sched[1], t, True
                 )
+        if folded is None and nc:
+            c_times = ct.tolist()
+            c_sizes = cs.tolist()
+        else:
+            c_times = []
+            c_sizes = []
+        if folded is None and buffer_bytes is None and cap_sched is None:
+            # Foreground arrivals lead the walk; the cross arrivals due
+            # before each (ties included) fold first, the rest after the
+            # last.  An arrival completing by ``t`` would be purged by
+            # the trailing pass anyway, so it never enters the deque.
+            tx = fg_size * 8.0 / cap
+            kept = []
+            kept_append = kept.append
+            dones = []
+            dones_append = dones.append
+            k = 0
+            for tf in fg_times:  # simlint: vector-safe
+                while k < nc:
+                    tc = c_times[k]
+                    if tc > tf:
+                        break
+                    sz = c_sizes[k]
+                    start = free_at if free_at > tc else tc
+                    free_at = start + sz * 8.0 / cap
+                    if free_at > t:
+                        kept_append((free_at, sz))
+                    k += 1
+                start = free_at if free_at > tf else tf
+                free_at = start + tx
+                if free_at > t:
+                    kept_append((free_at, fg_size))
+                dones_append(free_at)
+            for tc, sz in zip(c_times[k:], c_sizes[k:]):  # simlint: vector-safe
+                start = free_at if free_at > tc else tc
+                free_at = start + sz * 8.0 / cap
+                if free_at > t:
+                    kept_append((free_at, sz))
+            folded = (
+                free_at, kept, sum(sz for _, sz in kept),
+                sum(c_sizes) + fg_size * nf,
+            )
         if folded is not None:
-            free_at, kept, kept_bytes, kept_fold = folded
-            fwd_bytes += kept_fold
-            fwd_pkts += hi - idx
+            free_at, kept, kept_bytes, fwd_bytes = folded
             in_flight.extend(kept)
             backlog += kept_bytes
-        elif buffer_bytes is None:
-            # Infinite buffer: nothing can drop, so the per-arrival purge is
-            # deferred (purging is monotone), and — because completion times
-            # are monotone on a FIFO link — an arrival whose transmission
-            # finishes by ``t_now`` would be purged by the trailing pass
-            # anyway, so it never enters the in-flight deque at all.
-            ts = times[idx:hi].tolist()
-            ss = agg.sizes[idx:hi].tolist()
-            fwd_pkts += hi - idx
-            if cap_sched is None:
-                for t, size in zip(ts, ss):  # simlint: vector-safe
-                    start = free_at if free_at > t else t
-                    free_at = start + size * 8.0 / cap
-                    fwd_bytes += size
-                    if free_at > t_now:
-                        in_flight.append((free_at, size))
-                        backlog += size
-            else:
-                bounds, caps = cap_sched
-                for t, size in zip(ts, ss):  # simlint: vector-safe
-                    start = free_at if free_at > t else t
-                    free_at = start + size * 8.0 / caps[bisect_right(bounds, start)]
-                    fwd_bytes += size
-                    if free_at > t_now:
-                        in_flight.append((free_at, size))
-                        backlog += size
         else:
-            # Drop-tail decisions replay deterministically in merge order:
-            # the backlog each arrival tests is the one the per-packet path
+            # Drop-tail decisions (and per-start rates under a schedule)
+            # replay in merge order with the per-arrival purge: the
+            # backlog each arrival tests is the one the per-packet path
             # would have computed at that instant.
+            cuts = [bisect_right(c_times, tf) for tf in fg_times]
+            at = [c + j for j, c in enumerate(cuts)]  # foreground positions
+            ts = c_times[:cuts[0]] if nf else c_times
+            ss = c_sizes[:cuts[0]] if nf else c_sizes
+            for tf, a, b in zip(fg_times, cuts, cuts[1:] + [nc]):
+                ts.append(tf)
+                ts.extend(c_times[a:b])
+                ss.append(fg_size)
+                ss.extend(c_sizes[a:b])
             if cap_sched is not None:
                 bounds, caps = cap_sched
-            drop_bytes = stats.bytes_dropped
-            drop_pkts = stats.packets_dropped
-            ts = times[idx:hi].tolist()
-            ss = agg.sizes[idx:hi].tolist()
-            for t, size in zip(ts, ss):
-                while in_flight and in_flight[0][0] <= t:
+            out = []
+            for tc, sz in zip(ts, ss):
+                while in_flight and in_flight[0][0] <= tc:
                     backlog -= in_flight.popleft()[1]
-                if backlog + size > buffer_bytes:
-                    drop_bytes += size
+                if buffer_bytes is not None and backlog + sz > buffer_bytes:
+                    drop_bytes += sz
                     drop_pkts += 1
-                else:
-                    start = free_at if free_at > t else t
-                    if cap_sched is not None:
-                        cap = caps[bisect_right(bounds, start)]
-                    free_at = start + size * 8.0 / cap
-                    in_flight.append((free_at, size))
-                    backlog += size
-                    fwd_bytes += size
-                    fwd_pkts += 1
-            stats.bytes_dropped = drop_bytes
-            stats.packets_dropped = drop_pkts
-        while in_flight and in_flight[0][0] <= t_now:
+                    out.append(None)
+                    continue
+                start = free_at if free_at > tc else tc
+                if cap_sched is not None:
+                    cap = caps[bisect_right(bounds, start)]
+                free_at = start + sz * 8.0 / cap
+                in_flight.append((free_at, sz))
+                backlog += sz
+                out.append(free_at)
+            fwd_bytes = sum(ss) - drop_bytes
+            dones = [out[i] for i in at]
+        while in_flight and in_flight[0][0] <= t:
             backlog -= in_flight.popleft()[1]
-        agg.idx = hi
         self._free_at = free_at
         self._backlog_bytes = backlog
-        stats.bytes_forwarded = fwd_bytes
-        stats.packets_forwarded = fwd_pkts
-        agg.compact()
+        stats.bytes_forwarded += fwd_bytes
+        stats.packets_forwarded += nc + nf - drop_pkts
+        if drop_pkts:
+            stats.bytes_dropped += drop_bytes
+            stats.packets_dropped += drop_pkts
+        if not nf:
+            return ()
+        if log is not None:
+            log.extend(
+                (tf, fg_size, d is not None, 0.0 if d is None else d)
+                for tf, d in zip(fg_times, dones)
+            )
+        return dones
 
     def _decommission(self) -> None:
         """Flush due bulk arrivals, then revert every source to per-packet."""
@@ -412,25 +485,21 @@ class Link:
     # ------------------------------------------------------------------
     # Queue accounting
     # ------------------------------------------------------------------
-    def _purge(self, now: float) -> None:
-        """Drop bookkeeping entries whose transmission has completed."""
+    def backlog_bytes(self) -> int:
+        """Bytes queued or in transmission now."""
+        if self._agg is not None:
+            self.sync()
+        now = self.sim.now
         in_flight = self._in_flight
         while in_flight and in_flight[0][0] <= now:
             self._backlog_bytes -= in_flight.popleft()[1]
-
-    def backlog_bytes(self, now: Optional[float] = None) -> int:
-        """Bytes queued or in transmission at time ``now`` (default: current)."""
-        if self._agg is not None:
-            self.sync()
-        self._purge(self.sim.now if now is None else now)
         return self._backlog_bytes
 
-    def queueing_delay(self, now: Optional[float] = None) -> float:
-        """Time a zero-size arrival at ``now`` would wait before service."""
+    def queueing_delay(self) -> float:
+        """Time a zero-size arrival now would wait before service."""
         if self._agg is not None:
             self.sync()
-        t = self.sim.now if now is None else now
-        return max(0.0, self._free_at - t)
+        return max(0.0, self._free_at - self.sim.now)
 
     def transmission_time(self, size_bytes: int) -> float:
         """Serialization delay of a packet of ``size_bytes`` on this link."""
@@ -454,7 +523,7 @@ class Link:
         # A flow-transit domain owning this hop needs nothing here: its
         # walk never runs past the next real event, this one included.
         if self._agg is not None:
-            self.sync(now)
+            self.sync()
         # Hot attributes bound once: this method runs once per foreground
         # packet, and slot loads dominated its profile.
         size = pkt.size

@@ -212,7 +212,7 @@ class QueueMonitor:
         now = self.sim.now
         if self.stop is not None and now > self.stop:
             return
-        self.samples.append((now, self.link.backlog_bytes(now)))
+        self.samples.append((now, self.link.backlog_bytes()))
         self._pending = self.sim.schedule(self.interval, self._tick)
 
     def max_backlog(self) -> int:

@@ -11,17 +11,18 @@ Lindley recursion
 
 against the cross-traffic arrivals each link's
 :class:`~repro.netsim.bulkarrivals.CrossAggregator` already holds as
-sorted arrays.  That recursion is folded in exactly one place, the
+sorted arrays.  Streams ride one planner, the
 :class:`~repro.netsim.flowtransit.FlowTransitDomain`: a solo probe
-stream is a domain with zero flows, and a stream concurrent with TCP
-flows is one more passenger of the same walk.  :func:`plan_stream` is
-the probe channel's seam into it.
+stream is a domain with zero flows, swept hop by hop with one
+:meth:`Link._advance <repro.netsim.link.Link._advance>` fold per hop,
+and a stream concurrent with TCP flows is one more passenger of the
+same walk.  :func:`plan_stream` is the probe channel's seam into it.
 
 Determinism contract
 --------------------
 Every observable is bit-identical to the per-packet path: the walk uses
 the same floating-point expressions in the same order as
-``Link.send()``/``Link.sync()``, admits straight into the links' queue
+``Link.send()``/``Link._advance()``, admits straight into the links' queue
 state before the next real event (so ``LinkStats`` and monitor samples
 agree at every read instant), and clock/jitter RNG draw *order* is
 unchanged.  Engine digests are reproducible within a mode; across modes

@@ -34,3 +34,11 @@ def construct(Link, net):
 
 def suppressed(link):
     link.deliver = scheduling_hook  # simlint: disable=SIM009 -- test harness
+
+
+def folding_hook(pkt, now):
+    pkt.link._advance(now)
+
+
+def install_folding(link):
+    link.deliver = folding_hook  # folds link state from inside the data path

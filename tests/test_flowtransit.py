@@ -23,11 +23,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.probing import StreamSpec
 from repro.netsim import LinkSpec, Simulator, build_path
+from repro.netsim import kernels
+from repro.netsim.crosstraffic import PacketMix, attach_cross_traffic
 from repro.netsim.engine import SimulationError
 from repro.netsim.flowtransit import FlowTransitDomain
 from repro.netsim.qdisc import REDQueue
@@ -189,10 +191,10 @@ class TestEquality:
         # one nanosecond must fail the round's replay of its admission log.
         admit = FlowTransitDomain._admit
 
-        def corrupted(self, vl, t, size):
-            done = admit(self, vl, t, size)
+        def corrupted(self, link, t, size):
+            done = admit(self, link, t, size)
             if done is not None:
-                vl.free_at = done + 1e-9
+                link._free_at = done + 1e-9
             return done
 
         monkeypatch.setattr(FlowTransitDomain, "_admit", corrupted)
@@ -425,23 +427,28 @@ class TestFigurePointRun:
 # Link state at arbitrary real instants
 # ----------------------------------------------------------------------
 def observed_link_state(
-    buffer_bytes, utilization, n_flows, ping_interval, instants, streams=()
+    buffer_bytes, utilization, n_flows, ping_interval, instants, streams=(),
+    hops=1, stream_len=40,
 ):
-    """Reno flows, probe streams sent at ``streams`` (possibly
-    overlapping) and a pinger on one hop (``buffer_bytes=None``: an
-    infinite buffer); at each of ``instants`` a real event reads every
-    link's stats, backlog and transmitter clock."""
+    """Reno flows, probe streams of ``stream_len`` packets sent at
+    ``streams`` (possibly overlapping; each lasts 24 ms) and a pinger on
+    ``hops`` 10 Mb/s hops (``buffer_bytes=None``: infinite buffers), each
+    with Pareto cross traffic at ``utilization``; at each of ``instants``
+    a real event reads every link's stats, backlog and transmitter clock."""
     sim = Simulator()
+    net = build_path(
+        sim,
+        [
+            LinkSpec(10e6, prop_delay=0.01, buffer_bytes=buffer_bytes, name=f"hop{i}")
+            for i in range(hops)
+        ],
+    )
     if utilization > 0.0:
-        setup = build_single_hop_path(
-            sim, 10e6, utilization, np.random.default_rng(11),
-            buffer_bytes=buffer_bytes,
-        )
-        net = setup.network
-    else:
-        net = build_path(
-            sim, [LinkSpec(10e6, prop_delay=0.01, buffer_bytes=buffer_bytes)]
-        )
+        rng = np.random.default_rng(11)
+        for link in net.forward_links:
+            attach_cross_traffic(
+                sim, net, link, 10e6 * utilization, rng, mix=PacketMix()
+            )
     cfg = TCPConfig(min_rto=0.5)
     flows = [
         open_connection(
@@ -451,7 +458,9 @@ def observed_link_state(
     ]
     Pinger(sim, net, interval=ping_interval, start=0.0123)
     chan = ProbeChannel(sim, net)
-    spec = StreamSpec(rate_bps=4e6, packet_size=300, n_packets=40)
+    spec = StreamSpec(
+        rate_bps=1e5 * stream_len, packet_size=300, n_packets=stream_len
+    )
     received = []
     for t in streams:
         sim.schedule_at(
@@ -485,28 +494,46 @@ def observed_link_state(
 
 
 class TestObservedLinkState:
-    @settings(max_examples=12, deadline=None, derandomize=True)
-    @given(
-        buffer_bytes=st.sampled_from([None, 12_000, 40_000]),
-        utilization=st.sampled_from([0.0, 0.4]),
-        n_flows=st.integers(0, 2),
-        ping_interval=st.sampled_from([0.05, 0.1003]),
-        instants=st.lists(
-            st.floats(0.001, 2.999, allow_nan=False), min_size=1, max_size=8
-        ),
-        streams=st.lists(
-            st.floats(0.01, 2.5, allow_nan=False), min_size=0, max_size=3
-        ),
-    )
-    def test_reads_equal_per_packet(
-        self, buffer_bytes, utilization, n_flows, ping_interval, instants,
-        streams,
-    ):
-        args = (buffer_bytes, utilization, n_flows, ping_interval, instants, streams)
-        samples_fast, out_fast, net, chan = observed_link_state(*args)
-        assert net._ft_flows == n_flows
-        assert chan.fastpath_streams == len(streams)
-        with mock.patch.dict(os.environ, {"REPRO_NO_FAST": "1"}):
-            samples_slow, out_slow, _, _ = observed_link_state(*args)
-        assert samples_fast == samples_slow
-        assert out_fast == out_slow
+    def test_reads_equal_per_packet(self):
+        lindley_calls = []
+
+        # A lone 300-packet stream between pings on three cross-free
+        # hops: its first hop folds in one kernels.plan_hop call.
+        @example(None, 0.0, 0, 0.1003, [1.5], [0.58], 3, 300)
+        @settings(max_examples=12, deadline=None, derandomize=True)
+        @given(
+            buffer_bytes=st.sampled_from([None, 12_000, 40_000]),
+            utilization=st.sampled_from([0.0, 0.4]),
+            n_flows=st.integers(0, 2),
+            ping_interval=st.sampled_from([0.05, 0.1003]),
+            instants=st.lists(
+                st.floats(0.001, 2.999, allow_nan=False), min_size=1, max_size=8
+            ),
+            streams=st.lists(
+                st.floats(0.01, 2.5, allow_nan=False), min_size=0, max_size=3
+            ),
+            hops=st.sampled_from([1, 3]),
+            stream_len=st.sampled_from([40, 300]),
+        )
+        def reads_equal(
+            buffer_bytes, utilization, n_flows, ping_interval, instants,
+            streams, hops, stream_len,
+        ):
+            args = (
+                buffer_bytes, utilization, n_flows, ping_interval, instants,
+                streams, hops, stream_len,
+            )
+            before = kernels.kernel_calls.get("lindley", 0)
+            samples_fast, out_fast, net, chan = observed_link_state(*args)
+            lindley_calls.append(kernels.kernel_calls.get("lindley", 0) - before)
+            assert net._ft_flows == n_flows
+            assert chan.fastpath_streams == len(streams)
+            with mock.patch.dict(os.environ, {"REPRO_NO_FAST": "1"}):
+                samples_slow, out_slow, _, _ = observed_link_state(*args)
+            assert samples_fast == samples_slow
+            assert out_fast == out_slow
+
+        reads_equal()
+        if kernels.enabled():
+            # The vector branch of the fold took part in the comparison.
+            assert any(lindley_calls)

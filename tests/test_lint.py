@@ -66,7 +66,7 @@ class TestRulesOnFixtures:
         assert fire_lines("bad_sim008.py", "SIM008") == [11, 13, 15, 22, 28]
 
     def test_sim009_impure_hooks_and_guard_bypass(self):
-        assert fire_lines("bad_sim009.py", "SIM009") == [22, 23, 24, 25, 31]
+        assert fire_lines("bad_sim009.py", "SIM009") == [22, 23, 24, 25, 31, 44]
 
     def test_sim010_annotated_loops_pinned(self):
         # line 12 (safe Lindley) and line 50 (pragma) must NOT fire
@@ -367,39 +367,40 @@ class TestVectorization:
             if l.module == module and l.function == function and l.label == label
         ]
 
-    def test_stream_sweep_infinite_buffer_loop_is_vector_safe(self, loops):
-        safe = self._find(
-            loops, "repro.netsim.flowtransit", "FlowTransitDomain._sweep_hop",
-            "VECTOR-SAFE",
-        )
+    def _fold_loops(self, loops, gathers):
+        # The hop's one fold, Link._advance: its annotated infinite-buffer
+        # loops, told apart by what they gather besides the kept in-flight
+        # entries.
+        safe = self._find(loops, "repro.netsim.link", "Link._advance", "VECTOR-SAFE")
         annotated = [l for l in safe if l.annotated]
-        # The general interleaved walk plus its specialized cross-free twin.
         assert len(annotated) == 2
-        for report in annotated:
-            assert "max+add (Lindley)" in report.accumulators.get("free_at", "")
-            assert report.reasons and "accumulate" in report.reasons[0]
-            # Both sit next to the kernels.plan_hop dispatch: sanctioned.
-            assert report.kernelized
+        return [
+            l for l in annotated
+            if l.reasons and l.reasons[0].endswith(f"gathers ({gathers})")
+        ]
+
+    def test_stream_sweep_infinite_buffer_loop_is_vector_safe(self, loops):
+        # The foreground-led walk the lone-stream sweep folds each hop
+        # with: cross arrivals interleaved before each probe, the probes'
+        # completions gathered.
+        (report,) = self._fold_loops(loops, "dones, kept")
+        assert "max+add (Lindley)" in report.accumulators.get("free_at", "")
+        assert "accumulate" in report.reasons[0]
+        # It sits next to the kernels.plan_hop dispatch: sanctioned.
+        assert report.kernelized
 
     def test_bulk_arrivals_fold_loops_are_vector_safe(self, loops):
-        # The bulk-arrivals fold lives in Link.sync: it consumes the
-        # CrossAggregator's merged (times, sizes) arrays.  Two flavours:
-        # the fixed-rate fold and its capacity-schedule twin (per-start
-        # rate lookup), each sitting next to its kernel dispatch.
-        safe = self._find(loops, "repro.netsim.link", "Link.sync", "VECTOR-SAFE")
-        annotated = [l for l in safe if l.annotated]
-        assert len(annotated) == 2
-        for report in annotated:
-            assert "max+add (Lindley)" in report.accumulators.get("free_at", "")
+        # The bulk-arrivals fold (Link.sync and the flow-transit walk's
+        # cross folds) consumes the CrossAggregator's merged (times,
+        # sizes) arrays past the last foreground arrival.
+        (report,) = self._fold_loops(loops, "kept")
+        assert "max+add (Lindley)" in report.accumulators.get("free_at", "")
+        assert report.kernelized
 
     def test_drop_tail_counterparts_are_unsafe_with_reasons(self, loops):
-        for module, function in (
-            ("repro.netsim.flowtransit", "FlowTransitDomain._sweep_hop"),
-            ("repro.netsim.link", "Link.sync"),
-        ):
-            unsafe = self._find(loops, module, function, "VECTOR-UNSAFE")
-            assert unsafe, f"no UNSAFE loops reported for {module}.{function}"
-            assert all(l.reasons for l in unsafe)
+        unsafe = self._find(loops, "repro.netsim.link", "Link._advance", "VECTOR-UNSAFE")
+        assert unsafe, "no UNSAFE loops reported for Link._advance"
+        assert all(l.reasons for l in unsafe)
 
     def test_committed_report_matches_analysis(self, loops):
         committed = json.loads((REPO_ROOT / "vectorization.json").read_text())

@@ -445,17 +445,18 @@ class TestSanitize:
         assert checked[:2] == plain[:2]
 
     def test_shadow_detects_planner_corruption(self, monkeypatch):
-        from repro.netsim.flowtransit import FlowTransitDomain
+        from repro.netsim.link import Link
 
-        # A hop sweep that leaves the transmitter clock one nanosecond
-        # off must fail the round's replay of its admission log.
-        sweep_hop = FlowTransitDomain._sweep_hop
+        # A hop sweep fold that leaves the transmitter clock one
+        # nanosecond off must fail the round's replay of its admission log.
+        advance = Link._advance
 
-        def corrupted(self, vl, ts, ix, size):
-            out = sweep_hop(self, vl, ts, ix, size)
-            vl.free_at += 1e-9
+        def corrupted(self, t, fg_times=(), fg_size=0, log=None):
+            out = advance(self, t, fg_times, fg_size, log)
+            if fg_times:
+                self._free_at += 1e-9
             return out
 
-        monkeypatch.setattr(FlowTransitDomain, "_sweep_hop", corrupted)
+        monkeypatch.setattr(Link, "_advance", corrupted)
         with pytest.raises(SimulationError, match="flow-transit shadow check"):
             run_streams(True, utilization=0.5, sanitize=True, n_streams=1)
